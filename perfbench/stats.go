@@ -1,0 +1,53 @@
+package main
+
+import (
+	"math"
+	"sort"
+	"time"
+)
+
+// quantile returns the q-quantile (0 ≤ q ≤ 1) of xs by linear
+// interpolation between the closest ranks; 0 for an empty sample.
+func quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	pos := q * float64(len(s)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	return s[lo] + (s[hi]-s[lo])*(pos-float64(lo))
+}
+
+func median(xs []float64) float64 { return quantile(xs, 0.5) }
+
+func total(xs []float64) float64 {
+	t := 0.0
+	for _, x := range xs {
+		t += x
+	}
+	return t
+}
+
+// geomean is the geometric mean of positive values (0 for none).
+func geomean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var s float64
+	for _, x := range xs {
+		s += math.Log(x)
+	}
+	return math.Exp(s / float64(len(xs)))
+}
+
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// ratio is a/b, or 0 when b is 0.
+func ratio(a, b float64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return a / b
+}
