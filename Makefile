@@ -77,10 +77,11 @@ bench:
 
 # One-iteration smoke pass over the headline benchmarks (Table 1, the
 # Figure 9 search, and the memoization A/B) — quick signal that the
-# evaluation engine still runs end to end.
+# evaluation engine still runs end to end. The memoization A/B lives in
+# internal/eval, the only package that reaches the uncached reference path.
 bench-quick:
-	$(GO) test -run XXX -benchtime 1x \
-		-bench 'BenchmarkTable1|BenchmarkFigure9|BenchmarkExhaustiveMemo' .
+	$(GO) test -run XXX -benchtime 1x -bench 'BenchmarkTable1|BenchmarkFigure9' .
+	$(GO) test -run XXX -benchtime 1x -bench BenchmarkExhaustiveMemo ./internal/eval/
 
 # Partitioner microbenchmarks: the fast CSR/FM path vs the legacy path
 # on 1k/10k/100k synthetic graphs, plus the raw numbers refreshed into
@@ -116,9 +117,9 @@ bench-store:
 # refreshed into BENCH_sweep.json (see that file for the recorded
 # analysis and the >=3x acceptance target).
 bench-sweep:
-	$(GO) test -run XXX \
+	$(GO) test ./internal/eval/ -run XXX \
 		-bench 'BenchmarkExhaustiveSweep|BenchmarkBestMapping' \
-		-benchtime 20x . | tee bench_sweep_output.txt
+		-benchtime 20x | tee bench_sweep_output.txt
 
 # gdpd load harness: the daemon self-hosted on a loopback port with fault
 # injection enabled, driven with mixed traffic (all four endpoints, all

@@ -91,14 +91,6 @@ func TestCacheStats(t *testing.T) {
 	}
 }
 
-func TestNoMemoMatchesDefault(t *testing.T) {
-	memoed := runBenchCmd(t, "-figure", "8a", "-run", "fir")
-	plain := runBenchCmd(t, "-figure", "8a", "-run", "fir", "-nomemo")
-	if memoed != plain {
-		t.Errorf("-nomemo changed the output:\n%s\nvs\n%s", memoed, plain)
-	}
-}
-
 func TestProfileFlags(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := dir+"/cpu.pprof", dir+"/mem.pprof"

@@ -35,17 +35,6 @@ func TestEvaluateBenchmarkAllSchemes(t *testing.T) {
 	}
 }
 
-// TestLegacyInterpIdenticalOutput pins that the profiling-engine switch
-// is invisible end to end: gdpc's full scheme evaluation (checksums,
-// cycles, data maps) is byte-identical with and without -legacyinterp.
-func TestLegacyInterpIdenticalOutput(t *testing.T) {
-	vm := runCmd(t, "-bench", "halftone", "-validate")
-	tree := runCmd(t, "-bench", "halftone", "-validate", "-legacyinterp")
-	if vm != tree {
-		t.Errorf("-legacyinterp changed the output:\nvm:\n%s\ntree:\n%s", vm, tree)
-	}
-}
-
 func TestDumpIR(t *testing.T) {
 	out := runCmd(t, "-bench", "fir", "-dump-ir")
 	for _, want := range []string{"module fir", "func main", "load"} {

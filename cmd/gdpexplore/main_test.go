@@ -70,32 +70,6 @@ func TestExploreBest(t *testing.T) {
 	}
 }
 
-func TestExploreNoDeltaMatchesDefault(t *testing.T) {
-	var delta, full strings.Builder
-	if err := run([]string{"-bench", "fir", "-csv"}, &delta); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-bench", "fir", "-csv", "-nodelta"}, &full); err != nil {
-		t.Fatal(err)
-	}
-	if delta.String() != full.String() {
-		t.Error("-nodelta changed the CSV output")
-	}
-}
-
-func TestExploreNoMemoMatchesDefault(t *testing.T) {
-	var memoed, plain strings.Builder
-	if err := run([]string{"-bench", "fir", "-csv"}, &memoed); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-bench", "fir", "-csv", "-nomemo"}, &plain); err != nil {
-		t.Fatal(err)
-	}
-	if memoed.String() != plain.String() {
-		t.Error("-nomemo changed the CSV output")
-	}
-}
-
 func TestExploreProfileFlags(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := dir+"/cpu.pprof", dir+"/mem.pprof"

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	prog, err := mcpart.LoadBenchmark("rawcaudio")
 	if err != nil {
 		log.Fatal(err)
@@ -45,7 +47,7 @@ func main() {
 	fmt.Printf("%8s %12s %12s %12s\n", "latency", "GDP", "ProfileMax", "Naive")
 	for _, lat := range []int{1, 5, 10} {
 		m := mcpart.Paper2Cluster(lat)
-		cmp, err := mcpart.EvaluateAll(prog, m)
+		cmp, err := mcpart.EvaluateAll(ctx, prog, m, mcpart.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -57,7 +59,7 @@ func main() {
 
 	// How close is GDP to the best achievable mapping? (Figure 9.)
 	m := mcpart.Paper2Cluster(5)
-	ex, err := mcpart.ExhaustiveSearch(prog, m, mcpart.Options{}, 14)
+	ex, err := mcpart.ExhaustiveSearch(ctx, prog, m, mcpart.Options{}, 14)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,7 +29,7 @@ func main() {
 		len(tr), len(prog.Objects()))
 
 	m := mcpart.Paper2Cluster(5)
-	g, err := mcpart.Evaluate(prog, m, mcpart.SchemeGDP, mcpart.Options{})
+	g, err := mcpart.Evaluate(context.Background(), prog, m, mcpart.SchemeGDP, mcpart.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -40,7 +41,8 @@ func main() int {
 }`
 
 func main() {
-	prog, err := mcpart.Compile("hashprobe", src)
+	ctx := context.Background()
+	prog, err := mcpart.Compile(ctx, "hashprobe", src, mcpart.CompileOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +52,7 @@ func main() {
 	}
 
 	m := mcpart.Paper2Cluster(10) // high latency makes placement critical
-	ex, err := mcpart.ExhaustiveSearch(prog, m, mcpart.Options{}, 14)
+	ex, err := mcpart.ExhaustiveSearch(ctx, prog, m, mcpart.Options{}, 14)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	prog, err := mcpart.LoadBenchmark("sobel")
 	if err != nil {
 		log.Fatal(err)
@@ -28,7 +30,7 @@ func main() {
 	}
 	fmt.Printf("%-16s %10s %10s %10s %8s\n", "machine", "unified", "GDP", "rel", "moves")
 	for _, m := range machines {
-		cmp, err := mcpart.EvaluateAll(prog, m)
+		cmp, err := mcpart.EvaluateAll(ctx, prog, m, mcpart.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -44,7 +46,7 @@ func main() {
 		log.Fatal(err)
 	}
 	asym.Name = "asym-mem-3:1"
-	cmpA, err := mcpart.EvaluateAll(prog, asym)
+	cmpA, err := mcpart.EvaluateAll(ctx, prog, asym, mcpart.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func main() {
 
 	// On the 4-cluster machine, show where the data landed.
 	m4 := mcpart.FourCluster(5)
-	cmp, err := mcpart.EvaluateAll(prog, m4)
+	cmp, err := mcpart.EvaluateAll(ctx, prog, m4, mcpart.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

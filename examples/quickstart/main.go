@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -41,7 +42,8 @@ func main() int {
 }`
 
 func main() {
-	prog, err := mcpart.Compile("quickstart", src)
+	ctx := context.Background()
+	prog, err := mcpart.Compile(ctx, "quickstart", src, mcpart.CompileOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +56,7 @@ func main() {
 	}
 
 	machine := mcpart.Paper2Cluster(5) // 5-cycle intercluster moves
-	cmp, err := mcpart.EvaluateAll(prog, machine)
+	cmp, err := mcpart.EvaluateAll(ctx, prog, machine, mcpart.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@ package mcpart
 // scheme and machine, with cross-cutting invariants checked at each stage.
 
 import (
+	"context"
 	"testing"
 
 	"mcpart/internal/interp"
@@ -24,7 +25,7 @@ func TestPipelineInvariantsAllBenchmarks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cmp, err := EvaluateAll(p, m)
+			cmp, err := EvaluateAll(context.Background(), p, m, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,11 +138,11 @@ func TestSchemesDeterministicEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c1, err := EvaluateAll(p1, m)
+		c1, err := EvaluateAll(context.Background(), p1, m, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		c2, err := EvaluateAll(p2, m)
+		c2, err := EvaluateAll(context.Background(), p2, m, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +165,7 @@ func TestFourClusterEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, err := EvaluateAll(p, m)
+	cmp, err := EvaluateAll(context.Background(), p, m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestHeterogeneousEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, err := EvaluateAll(p, m)
+	cmp, err := EvaluateAll(context.Background(), p, m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestSchedulerSelfCheckAllBenchmarks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cmp, err := EvaluateAll(p, m)
+		cmp, err := EvaluateAll(context.Background(), p, m, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

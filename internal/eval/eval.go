@@ -125,8 +125,8 @@ func PrepareCtx(ctx context.Context, name, src string) (*Compiled, error) {
 	return PrepareFullCtx(ctx, name, src, DefaultUnroll, true)
 }
 
-// PrepareOpts is PrepareCtx with explicit profiling knobs (MaxSteps, the
-// LegacyInterp engine switch, and the CacheDir/CacheMaxBytes disk-cache
+// PrepareOpts is PrepareCtx with explicit profiling knobs (the
+// MaxSteps/MaxBytes budgets and the CacheDir/CacheMaxBytes disk-cache
 // knobs — a cached profile replaces the profiling execution; other
 // Options fields are ignored here).
 func PrepareOpts(ctx context.Context, name, src string, opts Options) (*Compiled, error) {
@@ -145,10 +145,11 @@ func PrepareFullCtx(ctx context.Context, name, src string, unroll int, optimize 
 }
 
 // PrepareFullOpts is the full Prepare implementation: front end, points-to
-// analysis, and one profiling execution. The profiler is the bytecode VM
-// (internal/bytecode) unless opts.LegacyInterp selects the tree-walking
-// interpreter; both produce identical checksums and Profiles, and both
-// charge the same step/byte/deadline budgets.
+// analysis, and one profiling execution on the bytecode VM
+// (internal/bytecode). The VM is differentially tested against the
+// tree-walking interpreter (internal/interp), which stays the reference
+// oracle: both produce identical checksums and Profiles and charge the
+// same step/byte/deadline budgets.
 func PrepareFullOpts(ctx context.Context, name, src string, unroll int, optimize bool, opts Options) (*Compiled, error) {
 	iopts := interp.Options{MaxSteps: opts.maxSteps(), MaxBytes: opts.MaxBytes}
 	if ctx != nil {
@@ -199,30 +200,16 @@ func PrepareFullOpts(ctx context.Context, name, src string, unroll int, optimize
 		}
 	}
 	sp = po.Span("profile")
-	var v interp.Value
-	var prof *interp.Profile
-	if opts.LegacyInterp {
-		in := interp.New(mod, iopts)
-		v, err = in.RunMain()
-		prof = in.Profile()
-		// The tree walker executes one op per dispatch by definition, so
-		// its counters mirror the VM's exactly.
-		po.Counter("interp_steps").Add(prof.Steps)
-		po.Counter("interp_dispatches").Add(prof.Steps)
-		po.Counter("interp_alloc_bytes").Add(in.AllocBytes())
-	} else {
-		var prog *bytecode.Program
-		prog, err = bytecode.Compile(mod)
-		if err != nil {
-			sp.End()
-			psp.End()
-			return nil, fmt.Errorf("eval: %s: %w", name, err)
-		}
-		vm := bytecode.NewVM(prog, iopts)
-		vm.SetObserver(po)
-		v, err = vm.RunMain()
-		prof = vm.Profile()
+	prog, err := bytecode.Compile(mod)
+	if err != nil {
+		sp.End()
+		psp.End()
+		return nil, fmt.Errorf("eval: %s: %w", name, err)
 	}
+	vm := bytecode.NewVM(prog, iopts)
+	vm.SetObserver(po)
+	v, err := vm.RunMain()
+	prof := vm.Profile()
 	sp.End()
 	psp.End()
 	o.Counter("prepare_programs").Add(1)
@@ -301,12 +288,6 @@ type Options struct {
 	// *interp.BudgetError. Non-positive means no byte budget. A per-request
 	// byte budget is the daemon's containment against allocation bombs.
 	MaxBytes int64
-	// LegacyInterp routes Prepare's profiling run through the tree-walking
-	// interpreter instead of the bytecode VM (ablation and differential
-	// debugging; see -legacyinterp). Checksum and Profile are identical
-	// either way — the VM is differentially tested against the tree walker
-	// — so only wall time changes.
-	LegacyInterp bool
 	// Workers bounds the evaluation worker pool used by Exhaustive,
 	// RunAllSchemes and RunMatrix. Zero or negative selects
 	// runtime.GOMAXPROCS(0) — the repository-wide sentinel convention
@@ -324,21 +305,6 @@ type Options struct {
 	// are shed (reads keep working). Non-positive selects
 	// store.DefaultMaxBytes.
 	CacheMaxBytes int64
-	// NoMemo disables the per-Compiled memoization cache for this run
-	// (ablation / benchmarking). Results are identical either way; only
-	// wall time and the MemoHits counters change.
-	NoMemo bool
-	// NoDelta makes Exhaustive evaluate every mask through the full
-	// per-mask pipeline (RunWithDataMap per point) instead of the
-	// Gray-code delta sweep. Point values are byte-identical either way —
-	// both paths sum the same memoized per-function results — so this is
-	// the A/B keep for differential tests and the sweep benchmarks.
-	NoDelta bool
-	// NoSymPrune makes Exhaustive evaluate every mask instead of half the
-	// space on cluster-symmetric machines. Point values are identical
-	// either way: symmetric machines canonicalize each mask to its
-	// even-complement representative before evaluation in both modes.
-	NoSymPrune bool
 	// LegacyPartition routes every graph bisection (GDP's object graph and
 	// RHOP's op graphs) through the legacy partitioner path instead of the
 	// CSR + gain-bucket FM fast path (ablation; see -legacypartition).
@@ -373,6 +339,22 @@ type Options struct {
 	// *Ctx entry points (RunSchemeCtx, RunMatrixCtx, ExhaustiveCtx) and
 	// checked between per-function pipeline steps.
 	ctx context.Context
+
+	// The reference paths below are value-neutral by contract and
+	// reachable only from this package's tests, fuzzers and benchmarks,
+	// which use them as differential oracles and A/B baselines.
+	//
+	// noMemo bypasses the per-Compiled memoization cache; only wall time
+	// and the memo hit counters change.
+	noMemo bool
+	// noDelta makes Exhaustive evaluate every mask through the full
+	// per-mask pipeline (RunWithDataMap per point) instead of the
+	// Gray-code delta sweep; both sum the same per-function results.
+	noDelta bool
+	// noSymPrune makes Exhaustive evaluate every mask instead of half the
+	// space on cluster-symmetric machines; both modes canonicalize each
+	// mask to its even-complement representative before evaluation.
+	noSymPrune bool
 }
 
 // Degradation records that a result was produced by a fallback scheme
@@ -523,7 +505,7 @@ func beginRun(c *Compiled, s Scheme, opts Options) (Options, func(*Result, error
 }
 
 // useMemo reports whether this run should consult c's memoization cache.
-func (o Options) useMemo(c *Compiled) bool { return !o.NoMemo && c.memo != nil }
+func (o Options) useMemo(c *Compiled) bool { return !o.noMemo && c.memo != nil }
 
 // lockSigKey appends f's projected lock signature under dm: the home
 // cluster of each object f's memory operations may touch, in sorted object
@@ -763,6 +745,12 @@ func RunWithDataMap(c *Compiled, cfg *machine.Config, dm gdp.DataMap, opts Optio
 		return nil, err
 	}
 	return finish(c, cfg, res, asg, opts)
+}
+
+// RunWithDataMapCtx is RunWithDataMap under a cancellation context.
+func RunWithDataMapCtx(ctx context.Context, c *Compiled, cfg *machine.Config, dm gdp.DataMap, opts Options) (*Result, error) {
+	opts.ctx = obs.With(ctx, opts.Observer)
+	return RunWithDataMap(c, cfg, dm, opts)
 }
 
 // RunProfileMax evaluates the Profile Max baseline: run RHOP assuming a

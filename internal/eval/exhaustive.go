@@ -14,7 +14,7 @@ import (
 // registerSweepCounters pre-registers the sweep and branch-and-bound
 // counters so a clean -metrics run reports explicit zeros instead of
 // silently omitting paths that never fired (e.g. bb_* without -best, or
-// sweep_* under -nodelta).
+// sweep_* under -validate).
 func registerSweepCounters(o *obs.Observer) {
 	o.Counter("sweep_masks_delta").Add(0)
 	o.Counter("sweep_funcs_recomputed").Add(0)
@@ -70,7 +70,7 @@ type ExhaustiveResult struct {
 // cluster 0. Canonicalization makes cycles(mask) == cycles(^mask) hold
 // exactly (the partitioner's lower-cluster tie-breaks would otherwise
 // skew complements slightly) and lets the sweep evaluate only the 2^(n-1)
-// canonical masks and mirror the rest; Options.NoSymPrune forces the full
+// canonical masks and mirror the rest; Options.noSymPrune forces the full
 // enumeration but keeps canonicalization, so both modes return identical
 // points. Asymmetric machines — and every machine with more than two
 // clusters, where the relabeling orbit is the full k! group and mirroring
@@ -141,7 +141,7 @@ func ExhaustiveCtx(ctx context.Context, c *Compiled, cfg *machine.Config, opts O
 	}
 
 	res := &ExhaustiveResult{}
-	if !opts.NoDelta && opts.Inject == nil && !opts.Validate && n > 0 {
+	if !opts.noDelta && opts.Inject == nil && !opts.Validate && n > 0 {
 		// Gray-code delta sweep (see sweep.go): byte-identical points at a
 		// fraction of the per-mask cost. Fault injection and per-point
 		// validation need the full per-mask pipeline, so they fall through.
@@ -150,7 +150,7 @@ func ExhaustiveCtx(ctx context.Context, c *Compiled, cfg *machine.Config, opts O
 			return nil, err
 		}
 		res.Points = points
-	} else if canon && !opts.NoSymPrune && n > 0 {
+	} else if canon && !opts.noSymPrune && n > 0 {
 		// Evaluate only the canonical (even) half; mirror each point onto
 		// its odd complement. Mirrored values are exactly what evaluating
 		// the odd mask would have produced, since evalMask canonicalizes.

@@ -9,7 +9,7 @@ import (
 
 // TestMemoEquivalenceAllSchemes pins the tentpole determinism contract:
 // every scheme returns reflect.DeepEqual-identical deterministic fields
-// with the memoization cache enabled (default) and disabled (NoMemo) —
+// with the memoization cache enabled (default) and disabled (noMemo) —
 // including a warm cache, where prior runs of other schemes have filled
 // shared entries.
 func TestMemoEquivalenceAllSchemes(t *testing.T) {
@@ -19,7 +19,7 @@ func TestMemoEquivalenceAllSchemes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := RunAllSchemes(c, cfg, Options{NoMemo: true})
+		plain, err := RunAllSchemes(c, cfg, Options{noMemo: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,12 +98,12 @@ func TestMemoHitsAccounting(t *testing.T) {
 	if st.Hits == 0 || st.Misses == 0 || st.Entries == 0 {
 		t.Errorf("cache stats look dead: %+v", st)
 	}
-	// NoMemo runs must bypass the cache entirely.
-	if _, err := RunUnified(c, cfg, Options{Workers: 1, NoMemo: true}); err != nil {
+	// noMemo runs must bypass the cache entirely.
+	if _, err := RunUnified(c, cfg, Options{Workers: 1, noMemo: true}); err != nil {
 		t.Fatal(err)
 	}
 	if after := c.MemoStats(); after != st {
-		t.Errorf("NoMemo run touched the cache: %+v -> %+v", st, after)
+		t.Errorf("noMemo run touched the cache: %+v -> %+v", st, after)
 	}
 }
 

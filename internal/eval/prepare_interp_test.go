@@ -3,7 +3,6 @@ package eval
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -11,77 +10,53 @@ import (
 	"mcpart/internal/interp"
 )
 
-// TestPrepareEngineEquivalence pins that the profiling engine switch is
-// invisible in Prepare's output: the bytecode VM (default) and the
-// tree-walking interpreter (LegacyInterp) produce the same checksum and a
-// DeepEqual-identical Profile through the public entry point.
+// TestPrepareEngineEquivalence pins that Prepare's profiling engine, the
+// bytecode VM, agrees with the reference tree-walking interpreter: running
+// interp.New directly on the VM-prepared module reproduces the checksum
+// and a DeepEqual-identical Profile.
 func TestPrepareEngineEquivalence(t *testing.T) {
 	bm, err := bench.Get("fir")
 	if err != nil {
 		t.Fatal(err)
 	}
-	vm, err := PrepareOpts(context.Background(), bm.Name, bm.Source, Options{})
+	c, err := PrepareOpts(context.Background(), bm.Name, bm.Source, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := PrepareOpts(context.Background(), bm.Name, bm.Source, Options{LegacyInterp: true})
+	in := interp.New(c.Mod, interp.Options{MaxSteps: Options{}.maxSteps()})
+	v, err := in.RunMain()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vm.Ret != tree.Ret {
-		t.Fatalf("checksum mismatch: vm %d, tree %d", vm.Ret, tree.Ret)
+	if c.Ret != v.I {
+		t.Fatalf("checksum mismatch: vm %d, tree %d", c.Ret, v.I)
 	}
-	if vm.Ret != bm.Want {
-		t.Fatalf("checksum %d, want %d", vm.Ret, bm.Want)
+	if c.Ret != bm.Want {
+		t.Fatalf("checksum %d, want %d", c.Ret, bm.Want)
 	}
-	if !reflect.DeepEqual(normProfile(vm.Prof), normProfile(tree.Prof)) {
+	if !reflect.DeepEqual(c.Prof, in.Profile()) {
 		t.Fatal("profiles diverge between engines")
 	}
 }
 
-// normProfile projects a Profile onto engine-independent keys (function
-// names plus dense block/op/object IDs instead of pointers): the two
-// Prepare calls compile separate modules, so pointer-keyed maps can never
-// be compared directly.
-func normProfile(p *interp.Profile) map[string]int64 {
-	out := map[string]int64{"steps": p.Steps}
-	for b, n := range p.BlockFreq {
-		out[fmt.Sprintf("bf/%s/b%d", b.Func.Name, b.ID)] = n
-	}
-	for op, m := range p.OpObj {
-		for objID, n := range m {
-			out[fmt.Sprintf("op/%s/%d/%d", op.Block.Func.Name, op.ID, objID)] = n
-		}
-	}
-	for objID, n := range p.ObjBytes {
-		out[fmt.Sprintf("bytes/%d", objID)] = n
-	}
-	for objID, n := range p.ObjAccess {
-		out[fmt.Sprintf("acc/%d", objID)] = n
-	}
-	return out
-}
-
 // TestPrepareMaxStepsHonored pins that Options.MaxSteps reaches the
-// profiler on both engines: a cap far below the benchmark's step count
-// must fail Prepare with a typed step-budget error.
+// profiler: a cap far below the benchmark's step count must fail Prepare
+// with a typed step-budget error. Budget parity between the VM and the
+// tree walker is pinned in internal/interp and internal/bytecode.
 func TestPrepareMaxStepsHonored(t *testing.T) {
 	bm, err := bench.Get("fir")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, legacy := range []bool{false, true} {
-		_, err := PrepareOpts(context.Background(), bm.Name, bm.Source,
-			Options{MaxSteps: 100, LegacyInterp: legacy})
-		var be *interp.BudgetError
-		if !errors.As(err, &be) || be.Resource != "step" {
-			t.Errorf("legacy=%v: want step BudgetError, got %v", legacy, err)
-		}
+	_, err = PrepareOpts(context.Background(), bm.Name, bm.Source, Options{MaxSteps: 100})
+	var be *interp.BudgetError
+	if !errors.As(err, &be) || be.Resource != "step" {
+		t.Errorf("want step BudgetError, got %v", err)
 	}
 }
 
 // TestPrepareMaxBytesHonored pins that Options.MaxBytes reaches the
-// profiler on both engines: a heap cap below the benchmark's footprint must
+// profiler: a heap cap below the benchmark's footprint must
 // fail Prepare with a typed byte-budget error, and a generous cap must not
 // change the result.
 func TestPrepareMaxBytesHonored(t *testing.T) {
@@ -89,13 +64,10 @@ func TestPrepareMaxBytesHonored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, legacy := range []bool{false, true} {
-		_, err := PrepareOpts(context.Background(), bm.Name, bm.Source,
-			Options{MaxBytes: 8, LegacyInterp: legacy})
-		var be *interp.BudgetError
-		if !errors.As(err, &be) || be.Resource != "byte" {
-			t.Errorf("legacy=%v: want byte BudgetError, got %v", legacy, err)
-		}
+	_, err = PrepareOpts(context.Background(), bm.Name, bm.Source, Options{MaxBytes: 8})
+	var be *interp.BudgetError
+	if !errors.As(err, &be) || be.Resource != "byte" {
+		t.Errorf("want byte BudgetError, got %v", err)
 	}
 	c, err := PrepareOpts(context.Background(), bm.Name, bm.Source, Options{MaxBytes: 1 << 30})
 	if err != nil {

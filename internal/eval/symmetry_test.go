@@ -45,7 +45,7 @@ func TestExhaustiveComplementSymmetry(t *testing.T) {
 
 // TestExhaustivePrunedMatchesFullSweep pins that the half-space sweep and
 // the full enumeration produce identical ExhaustiveResult point sets —
-// the pruning satellite's acceptance property. NoMemo rules out the cache
+// the pruning satellite's acceptance property. noMemo rules out the cache
 // accidentally papering over a pruning bug.
 func TestExhaustivePrunedMatchesFullSweep(t *testing.T) {
 	if testing.Short() {
@@ -57,7 +57,7 @@ func TestExhaustivePrunedMatchesFullSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullSweep, err := Exhaustive(c, cfg, Options{NoSymPrune: true, NoMemo: true}, 14)
+	fullSweep, err := Exhaustive(c, cfg, Options{noSymPrune: true, noMemo: true}, 14)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +93,13 @@ func TestExhaustiveAsymmetricKeepsFullSweep(t *testing.T) {
 	if len(ex.Points) != 1<<uint(n) {
 		t.Fatalf("got %d points, want full 2^%d", len(ex.Points), n)
 	}
-	// NoSymPrune is a no-op on an asymmetric machine.
-	again, err := Exhaustive(c, cfg, Options{NoSymPrune: true}, 14)
+	// noSymPrune is a no-op on an asymmetric machine.
+	again, err := Exhaustive(c, cfg, Options{noSymPrune: true}, 14)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ex, again) {
-		t.Fatal("asymmetric sweep changed under NoSymPrune")
+		t.Fatal("asymmetric sweep changed under noSymPrune")
 	}
 	// On this machine the big cluster genuinely beats the small one for
 	// at least one mapping pair, which canonicalization would have hidden.

@@ -205,10 +205,6 @@ func New(m *ir.Module, opts Options) *Interp {
 // Profile returns the observations accumulated so far.
 func (in *Interp) Profile() *Profile { return in.prof }
 
-// AllocBytes returns the total data bytes held: global storage plus every
-// malloc. It is the quantity the MaxBytes budget is charged against.
-func (in *Interp) AllocBytes() int64 { return in.allocBytes }
-
 // Run executes the named function with the given arguments and returns its
 // result (zero int for void functions).
 func (in *Interp) Run(fn string, args ...Value) (Value, error) {

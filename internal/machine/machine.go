@@ -266,12 +266,18 @@ var (
 	// ErrTopologyMatrix: a LatencyMatrix on a non-matrix topology (or a
 	// matrix topology without one) is a misconfiguration, not a fallback.
 	ErrTopologyMatrix = errors.New("latency matrix and topology disagree")
+	// ErrClusterCount: the computation and data partitioners split by
+	// recursive bisection, so the cluster count must be a power of two.
+	ErrClusterCount = errors.New("cluster count is not a power of two")
 )
 
 // Validate checks the configuration is usable.
 func (c *Config) Validate() error {
 	if len(c.Clusters) < 1 {
 		return fmt.Errorf("machine %q: needs at least one cluster", c.Name)
+	}
+	if k := len(c.Clusters); k&(k-1) != 0 {
+		return fmt.Errorf("machine %q: %d clusters: %w", c.Name, k, ErrClusterCount)
 	}
 	if c.MoveLatency < 1 {
 		return fmt.Errorf("machine %q: move latency %d < 1", c.Name, c.MoveLatency)

@@ -277,6 +277,12 @@ func TestValidateRejectsTopologyConfigs(t *testing.T) {
 			want: ErrMeshShape,
 		},
 		{
+			name: "three clusters",
+			cfg: &Config{Name: "k3", Clusters: []Cluster{one(), one(), one()},
+				MoveLatency: 5, MoveBandwidth: 1},
+			want: ErrClusterCount,
+		},
+		{
 			name: "bandwidth beyond issuable moves",
 			cfg: &Config{Name: "bw", Clusters: []Cluster{one(), one()},
 				MoveLatency: 5, MoveBandwidth: 5},

@@ -26,8 +26,7 @@ type Options struct {
 	// Legacy selects the original partitioner path (per-node []Edge walks,
 	// full candidate re-sorts every refinement pass, O(V·E) initial growth)
 	// instead of the default CSR + gain-bucket FM fast path. It exists for
-	// A/B ablation and as an escape hatch, mirroring the NoMemo/NoSymPrune
-	// pattern elsewhere in the tree.
+	// A/B ablation and as an escape hatch.
 	Legacy bool
 	// Workers bounds the goroutine fan-out of the fast path's parallel
 	// multi-start initial partitioning; 0 means runtime.GOMAXPROCS(0).

@@ -38,7 +38,7 @@ func main() int {
 
 // TestIncrementalRefinementEquivalence pins the exactness contract of the
 // regionEval estimate cache: the incremental path (default) and the
-// from-scratch path (NoIncremental) must produce identical assignments for
+// from-scratch path (noIncremental) must produce identical assignments for
 // every function, machine, lock set, and refinement mode — the cache only
 // changes speed, never outcomes.
 func TestIncrementalRefinementEquivalence(t *testing.T) {
@@ -55,7 +55,7 @@ func TestIncrementalRefinementEquivalence(t *testing.T) {
 				{RefinePasses: 2, BalanceTol: 0.2},
 			} {
 				full := opts
-				full.NoIncremental = true
+				full.noIncremental = true
 				inc, err := PartitionModule(mod, prof, mcfg, nil, opts)
 				if err != nil {
 					t.Fatalf("%s incremental: %v", mcfg.Name, err)
@@ -96,7 +96,7 @@ func TestIncrementalEquivalenceWithLocks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := PartitionFunc(f, prof, mcfg, locks, Options{PairRefine: true, NoIncremental: true})
+		ref, err := PartitionFunc(f, prof, mcfg, locks, Options{PairRefine: true, noIncremental: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,14 +108,14 @@ func TestIncrementalEquivalenceWithLocks(t *testing.T) {
 
 // TestOptionsCacheKey pins that the key resolves defaults (zero and
 // explicit-default Options share results) and separates every
-// outcome-affecting knob, while ignoring the value-neutral NoIncremental.
+// outcome-affecting knob, while ignoring the value-neutral noIncremental.
 func TestOptionsCacheKey(t *testing.T) {
 	zero := Options{}.CacheKey()
 	if explicit := (Options{RefinePasses: 4, BalanceTol: 0.4}).CacheKey(); explicit != zero {
 		t.Errorf("explicit defaults key %q != zero key %q", explicit, zero)
 	}
-	if (Options{NoIncremental: true}).CacheKey() != zero {
-		t.Error("NoIncremental must not change the cache key")
+	if (Options{noIncremental: true}).CacheKey() != zero {
+		t.Error("noIncremental must not change the cache key")
 	}
 	distinct := []Options{
 		{},

@@ -57,12 +57,6 @@ type Options struct {
 	// coarser levels; single-op moves sometimes cannot escape the local
 	// minima pair moves can.
 	PairRefine bool
-	// NoIncremental disables the incremental per-block estimate cache in
-	// the refinement loops and recomputes every region estimate from
-	// scratch (ablation / debugging aid). Results are identical either
-	// way — the cache is exact — so this knob only affects speed and is
-	// excluded from CacheKey.
-	NoIncremental bool
 	// LegacyPartition routes the underlying graph bisection through the
 	// legacy partitioner path instead of the CSR + gain-bucket FM fast
 	// path (ablation). The two paths can pick different equal-quality
@@ -70,7 +64,7 @@ type Options struct {
 	LegacyPartition bool
 	// Workers bounds the fast partitioner's multi-start fan-out; 0 means
 	// runtime.GOMAXPROCS(0). Value-neutral (results are identical for
-	// every worker count), so — like NoIncremental — it is excluded from
+	// every worker count), so — like noIncremental — it is excluded from
 	// CacheKey.
 	Workers int
 	// Obs, when non-nil, receives the refinement metrics (rhop_regions,
@@ -79,6 +73,13 @@ type Options struct {
 	// refinement loops tally into scratch ints and flush once per
 	// PartitionFunc call, so nil costs nothing on the hot path.
 	Obs *obs.Observer
+
+	// noIncremental disables the incremental per-block estimate cache in
+	// the refinement loops and recomputes every region estimate from
+	// scratch. The cache is exact, so this reference path is reachable
+	// only from this package's tests (the equivalence oracle) and is
+	// excluded from CacheKey.
+	noIncremental bool
 }
 
 func (o Options) passes() int  { return defaults.Int(o.RefinePasses, 4) }
@@ -87,7 +88,7 @@ func (o Options) tol() float64 { return defaults.Float(o.BalanceTol, 0.4) }
 // CacheKey returns a canonical encoding of every option that can change a
 // partitioning outcome, with defaults resolved (so the zero Options and an
 // explicit {RefinePasses: 4, BalanceTol: 0.4} share memoized results).
-// NoIncremental and Workers are excluded: both are value-neutral by
+// noIncremental and Workers are excluded: both are value-neutral by
 // construction.
 func (o Options) CacheKey() string {
 	return memo.NewKey("rhopopts").
@@ -875,7 +876,7 @@ func computeSlack(region *cfg.Region, du *cfg.DefUse, ops []*ir.Op, mcfg *machin
 // cluster rule bit for bit, so incremental and from-scratch evaluation
 // return identical costs (pinned by TestIncrementalRefinementEquivalence).
 //
-// In full mode (Options.NoIncremental) move is a plain assignment write
+// In full mode (Options.noIncremental) move is a plain assignment write
 // and cost recomputes the whole region estimate, reproducing the
 // pre-cache behavior verbatim.
 //
@@ -923,7 +924,7 @@ func newRegionEval(sc *scratch, f *ir.Func, region *cfg.Region, lc *sched.LoopCt
 	prof *interp.Profile, mcfg *machine.Config, opts Options, asg []int) *regionEval {
 
 	re := &regionEval{
-		full: opts.NoIncremental,
+		full: opts.noIncremental,
 		sc:   sc, f: f, region: region, lc: lc, prof: prof, mcfg: mcfg,
 		asg: asg, k: mcfg.NumClusters(),
 	}

@@ -90,7 +90,7 @@ func TestServeEndpointsMatchFacade(t *testing.T) {
 		t.Fatalf("compile result %+v, want checksum %d", cr, p.Checksum())
 	}
 
-	want, err := mcpart.Evaluate(p, m, mcpart.SchemeGDP, mcpart.Options{})
+	want, err := mcpart.Evaluate(context.Background(), p, m, mcpart.SchemeGDP, mcpart.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestServeEndpointsMatchFacade(t *testing.T) {
 		t.Fatalf("clean request reported degradation: %+v", env.Degraded)
 	}
 
-	sweep, err := mcpart.ExhaustiveSearch(p, m, mcpart.Options{}, 0)
+	sweep, err := mcpart.ExhaustiveSearch(context.Background(), p, m, mcpart.Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestServeEndpointsMatchFacade(t *testing.T) {
 			sr, len(sweep.Points), sweep.Best, sweep.Worst)
 	}
 
-	best, err := mcpart.BestMapping(p, m, mcpart.Options{}, 0)
+	best, err := mcpart.BestMapping(context.Background(), p, m, mcpart.Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestServeTopologyPresets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := mcpart.Evaluate(p, m, mcpart.SchemeGDP, mcpart.Options{})
+		want, err := mcpart.Evaluate(context.Background(), p, m, mcpart.SchemeGDP, mcpart.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestServeTopologyPresets(t *testing.T) {
 				preset, pr, want.Cycles, want.Moves)
 		}
 	}
-	best, err := mcpart.BestMapping(p, mustPreset(t, "mesh4"), mcpart.Options{}, 0)
+	best, err := mcpart.BestMapping(context.Background(), p, mustPreset(t, "mesh4"), mcpart.Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestServeInjectionAndDegradation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := mcpart.Evaluate(p, mcpart.Paper2Cluster(5), mcpart.SchemeProfileMax, mcpart.Options{})
+	want, err := mcpart.Evaluate(context.Background(), p, mcpart.Paper2Cluster(5), mcpart.SchemeProfileMax, mcpart.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestServeInjectionAndDegradation(t *testing.T) {
 
 	// The injected fault never contaminated the shared caches: the same
 	// request without injection returns clean GDP numbers.
-	cleanWant, err := mcpart.Evaluate(p, mcpart.Paper2Cluster(5), mcpart.SchemeGDP, mcpart.Options{})
+	cleanWant, err := mcpart.Evaluate(context.Background(), p, mcpart.Paper2Cluster(5), mcpart.SchemeGDP, mcpart.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -685,7 +685,7 @@ func TestServeConcurrentMixedTraffic(t *testing.T) {
 		for name, scheme := range map[string]mcpart.Scheme{
 			"gdp": mcpart.SchemeGDP, "profilemax": mcpart.SchemeProfileMax, "naive": mcpart.SchemeNaive,
 		} {
-			r, err := mcpart.Evaluate(p, m, scheme, mcpart.Options{})
+			r, err := mcpart.Evaluate(context.Background(), p, m, scheme, mcpart.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

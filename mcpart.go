@@ -12,9 +12,10 @@
 //
 // Quick start:
 //
-//	p, err := mcpart.Compile("demo", src)
+//	ctx := context.Background()
+//	p, err := mcpart.Compile(ctx, "demo", src, mcpart.CompileOptions{})
 //	m := mcpart.Paper2Cluster(5) // the paper's machine, 5-cycle moves
-//	cmp, err := mcpart.EvaluateAll(p, m)
+//	cmp, err := mcpart.EvaluateAll(ctx, p, m, mcpart.Options{})
 //	fmt.Println(cmp.GDP.Cycles, cmp.Unified.Cycles)
 //
 // The four schemes match the paper's Table 1: SchemeGDP (the paper's
@@ -127,6 +128,17 @@ func contain(err *error) {
 	if pe := parallel.Recovered("mcpart", -1, recover()); pe != nil {
 		*err = &InternalError{Err: pe}
 	}
+}
+
+// onMachine is the shared prologue of every entry point that takes a
+// machine: it rejects an invalid machine with Validate's typed error, then
+// runs f with panics contained into *InternalError.
+func onMachine[T any](m *Machine, f func() (T, error)) (r T, err error) {
+	defer contain(&err)
+	if err := m.Validate(); err != nil {
+		return r, err
+	}
+	return f()
 }
 
 // ExhaustiveResult is the Figure 9 dataset: every data mapping's cycles and
@@ -243,10 +255,6 @@ type CompileOptions struct {
 	// MaxSteps bounds the profiling run (the usual sentinel: non-positive
 	// means the default of 10 million steps).
 	MaxSteps int64
-	// LegacyInterp profiles with the tree-walking interpreter instead of
-	// the bytecode VM (ablation and differential debugging; results are
-	// identical, only wall time changes).
-	LegacyInterp bool
 	// CacheDir names a persistent artifact-store directory (see
 	// Options.CacheDir): when the store holds a profile for this exact
 	// module, compilation skips the profiling execution entirely. Empty
@@ -261,20 +269,11 @@ type CompileOptions struct {
 	MaxBytes int64
 }
 
-// Compile builds a Program from mclang source with default options.
-func Compile(name, source string) (*Program, error) {
-	return CompileWithOptions(name, source, CompileOptions{})
-}
-
-// CompileWithOptions builds a Program with explicit front-end options.
-func CompileWithOptions(name, source string, opts CompileOptions) (*Program, error) {
-	return CompileCtx(context.Background(), name, source, opts)
-}
-
-// CompileCtx is CompileWithOptions under a context: cancellation and
+// Compile builds a Program from mclang source: front end, points-to
+// analysis, and one profiling run on the bytecode VM. Cancellation and
 // deadline bound the profiling run, and an observer attached with
 // ObserveContext records parse/pointsto/profile spans for the compilation.
-func CompileCtx(ctx context.Context, name, source string, opts CompileOptions) (p *Program, err error) {
+func Compile(ctx context.Context, name, source string, opts CompileOptions) (p *Program, err error) {
 	defer contain(&err)
 	unroll := opts.Unroll
 	if unroll == 0 {
@@ -282,8 +281,7 @@ func CompileCtx(ctx context.Context, name, source string, opts CompileOptions) (
 	}
 	c, err := eval.PrepareFullOpts(ctx, name, source, unroll, !opts.NoOptimize,
 		eval.Options{MaxSteps: opts.MaxSteps, MaxBytes: opts.MaxBytes,
-			LegacyInterp: opts.LegacyInterp,
-			CacheDir:     opts.CacheDir, CacheMaxBytes: opts.CacheMaxBytes})
+			CacheDir: opts.CacheDir, CacheMaxBytes: opts.CacheMaxBytes})
 	if err != nil {
 		return nil, err
 	}
@@ -334,10 +332,9 @@ func (p *Program) Objects() []ObjectInfo {
 
 // MemoStats are the counters of the program's partition-result memoization
 // cache (internal/memo): how many per-function partition/schedule/lock
-// computations were answered from cache versus computed. All-zero when
-// memoization is disabled (Options.NoMemo, or a Program built without it).
-// The counters describe work saved, never results: cached and uncached
-// evaluations are byte-identical.
+// computations were answered from cache versus computed. The counters
+// describe work saved, never results: cached and uncached evaluations are
+// byte-identical.
 type MemoStats struct {
 	Hits       uint64 // computations answered from the cache
 	Misses     uint64 // computations actually run
@@ -382,68 +379,46 @@ type StoreStats = store.Stats
 // when CompileOptions.CacheDir / Options.CacheDir was never set).
 func (p *Program) StoreStats() StoreStats { return p.c.StoreStats() }
 
-// Evaluate runs one scheme on the program and machine.
-func Evaluate(p *Program, m *Machine, s Scheme, opts Options) (*Result, error) {
-	return EvaluateCtx(context.Background(), p, m, s, opts)
-}
-
-// EvaluateCtx is Evaluate under a context: cancellation stops the
-// partitioning pipeline between stages. With Options.Fallback set, a
+// Evaluate runs one scheme on the program and machine; cancellation stops
+// the partitioning pipeline between stages. With Options.Fallback set, a
 // failing or invalid scheme degrades along the GDP→ProfileMax→Naive chain
 // exactly as in the matrix runners, recording the substitution in
 // Result.Degraded.
-func EvaluateCtx(ctx context.Context, p *Program, m *Machine, s Scheme, opts Options) (r *Result, err error) {
-	defer contain(&err)
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.Fallback {
-		return eval.RunSchemeFallbackCtx(ctx, p.c, m, s, opts)
-	}
-	return eval.RunSchemeCtx(ctx, p.c, m, s, opts)
+func Evaluate(ctx context.Context, p *Program, m *Machine, s Scheme, opts Options) (*Result, error) {
+	return onMachine(m, func() (*Result, error) {
+		if opts.Fallback {
+			return eval.RunSchemeFallbackCtx(ctx, p.c, m, s, opts)
+		}
+		return eval.RunSchemeCtx(ctx, p.c, m, s, opts)
+	})
 }
 
 // EvaluateAll runs all four Table 1 schemes.
-func EvaluateAll(p *Program, m *Machine) (*Comparison, error) {
-	return EvaluateAllWithOptions(p, m, Options{})
-}
-
-// EvaluateAllWithOptions runs all four schemes with explicit options.
-func EvaluateAllWithOptions(p *Program, m *Machine, opts Options) (*Comparison, error) {
-	return EvaluateAllCtx(context.Background(), p, m, opts)
-}
-
-// EvaluateAllCtx runs all four schemes under a context.
-func EvaluateAllCtx(ctx context.Context, p *Program, m *Machine, opts Options) (c *Comparison, err error) {
-	defer contain(&err)
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return eval.RunAllSchemesCtx(ctx, p.c, m, opts)
+func EvaluateAll(ctx context.Context, p *Program, m *Machine, opts Options) (*Comparison, error) {
+	return onMachine(m, func() (*Comparison, error) {
+		return eval.RunAllSchemesCtx(ctx, p.c, m, opts)
+	})
 }
 
 // EvaluateDataMap evaluates an externally chosen object mapping (lock the
 // memory operations, run the computation partitioner, schedule).
-func EvaluateDataMap(p *Program, m *Machine, dm DataMap, opts Options) (r *Result, err error) {
-	defer contain(&err)
-	if err := dm.Validate(p.c.Mod, m.NumClusters()); err != nil {
-		return nil, err
-	}
-	return eval.RunWithDataMap(p.c, m, dm, opts)
+func EvaluateDataMap(ctx context.Context, p *Program, m *Machine, dm DataMap, opts Options) (*Result, error) {
+	return onMachine(m, func() (*Result, error) {
+		if err := dm.Validate(p.c.Mod, m.NumClusters()); err != nil {
+			return nil, err
+		}
+		return eval.RunWithDataMapCtx(ctx, p.c, m, dm, opts)
+	})
 }
 
 // ExhaustiveSearch enumerates every data-object mapping on the machine's k
 // clusters (the paper's Figure 9; k^objects points, encoded as base-k
 // positional masks). maxObjects guards against blowup: at most 2^maxObjects
 // mapping points (0 means 14, i.e. at most 16384 mappings).
-func ExhaustiveSearch(p *Program, m *Machine, opts Options, maxObjects int) (*ExhaustiveResult, error) {
-	return ExhaustiveSearchCtx(context.Background(), p, m, opts, maxObjects)
-}
-
-// ExhaustiveSearchCtx is ExhaustiveSearch under a context.
-func ExhaustiveSearchCtx(ctx context.Context, p *Program, m *Machine, opts Options, maxObjects int) (r *ExhaustiveResult, err error) {
-	defer contain(&err)
-	return eval.ExhaustiveCtx(ctx, p.c, m, opts, maxObjects)
+func ExhaustiveSearch(ctx context.Context, p *Program, m *Machine, opts Options, maxObjects int) (*ExhaustiveResult, error) {
+	return onMachine(m, func() (*ExhaustiveResult, error) {
+		return eval.ExhaustiveCtx(ctx, p.c, m, opts, maxObjects)
+	})
 }
 
 // BestMappingResult is the branch-and-bound search outcome re-exported
@@ -454,14 +429,10 @@ type BestMappingResult = eval.BestResult
 // clusters by branch and bound over object-assignment prefixes, without
 // enumerating all k^n points. It returns the same optimum an exhaustive
 // sweep would find, on programs too large to sweep (maxObjects 0 means 24).
-func BestMapping(p *Program, m *Machine, opts Options, maxObjects int) (*BestMappingResult, error) {
-	return BestMappingCtx(context.Background(), p, m, opts, maxObjects)
-}
-
-// BestMappingCtx is BestMapping under a context.
-func BestMappingCtx(ctx context.Context, p *Program, m *Machine, opts Options, maxObjects int) (r *BestMappingResult, err error) {
-	defer contain(&err)
-	return eval.BestMappingCtx(ctx, p.c, m, opts, maxObjects)
+func BestMapping(ctx context.Context, p *Program, m *Machine, opts Options, maxObjects int) (*BestMappingResult, error) {
+	return onMachine(m, func() (*BestMappingResult, error) {
+		return eval.BestMappingCtx(ctx, p.c, m, opts, maxObjects)
+	})
 }
 
 // RelativePerf returns scheme performance relative to the unified-memory
@@ -486,7 +457,7 @@ func LoadBenchmark(name string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Compile(b.Name, b.Source)
+	return Compile(context.Background(), b.Name, b.Source, CompileOptions{})
 }
 
 // BenchmarkSource returns the mclang source of a bundled benchmark.

@@ -1,6 +1,7 @@
 package mcpart
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ func kernel(int n) int {
 func main() int { return kernel(256); }`
 
 func TestCompileAndEvaluate(t *testing.T) {
-	p, err := Compile("demo", demoSrc)
+	p, err := Compile(context.Background(), "demo", demoSrc, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestCompileAndEvaluate(t *testing.T) {
 		t.Error("checksum unexpectedly zero")
 	}
 	m := Paper2Cluster(5)
-	cmp, err := EvaluateAll(p, m)
+	cmp, err := EvaluateAll(context.Background(), p, m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,10 +50,10 @@ func TestCompileAndEvaluate(t *testing.T) {
 }
 
 func TestCompileReportsErrors(t *testing.T) {
-	if _, err := Compile("bad", "func main() int { return x; }"); err == nil {
+	if _, err := Compile(context.Background(), "bad", "func main() int { return x; }", CompileOptions{}); err == nil {
 		t.Error("accepted undefined identifier")
 	}
-	if !strings.Contains(errOf(Compile("bad", "garbage")), "expected") {
+	if !strings.Contains(errOf(Compile(context.Background(), "bad", "garbage", CompileOptions{})), "expected") {
 		t.Error("parse error not surfaced")
 	}
 }
@@ -65,7 +66,7 @@ func errOf(_ *Program, err error) string {
 }
 
 func TestObjects(t *testing.T) {
-	p, err := Compile("demo", demoSrc)
+	p, err := Compile(context.Background(), "demo", demoSrc, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +87,13 @@ func TestObjects(t *testing.T) {
 }
 
 func TestEvaluateSingleScheme(t *testing.T) {
-	p, err := Compile("demo", demoSrc)
+	p, err := Compile(context.Background(), "demo", demoSrc, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := Paper2Cluster(5)
 	for _, s := range []Scheme{SchemeUnified, SchemeGDP, SchemeProfileMax, SchemeNaive} {
-		r, err := Evaluate(p, m, s, Options{})
+		r, err := Evaluate(context.Background(), p, m, s, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
@@ -100,34 +101,34 @@ func TestEvaluateSingleScheme(t *testing.T) {
 			t.Errorf("scheme mismatch: %s vs %s", r.Scheme, s)
 		}
 	}
-	if _, err := Evaluate(p, m, "nope", Options{}); err == nil {
+	if _, err := Evaluate(context.Background(), p, m, "nope", Options{}); err == nil {
 		t.Error("accepted unknown scheme")
 	}
 }
 
 func TestEvaluateDataMap(t *testing.T) {
-	p, err := Compile("demo", demoSrc)
+	p, err := Compile(context.Background(), "demo", demoSrc, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := Paper2Cluster(5)
-	r, err := EvaluateDataMap(p, m, DataMap{0, 1}, Options{})
+	r, err := EvaluateDataMap(context.Background(), p, m, DataMap{0, 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Cycles <= 0 {
 		t.Error("no cycles")
 	}
-	if _, err := EvaluateDataMap(p, m, DataMap{0}, Options{}); err == nil {
+	if _, err := EvaluateDataMap(context.Background(), p, m, DataMap{0}, Options{}); err == nil {
 		t.Error("accepted short data map")
 	}
-	if _, err := EvaluateDataMap(p, m, DataMap{0, 7}, Options{}); err == nil {
+	if _, err := EvaluateDataMap(context.Background(), p, m, DataMap{0, 7}, Options{}); err == nil {
 		t.Error("accepted out-of-range cluster")
 	}
 }
 
 func TestPartitionDataFacade(t *testing.T) {
-	p, err := Compile("demo", demoSrc)
+	p, err := Compile(context.Background(), "demo", demoSrc, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestParseOnly(t *testing.T) {
 func TestUnrollOptionPreservesSemantics(t *testing.T) {
 	var sums []int64
 	for _, u := range []int{1, 2, 4, 8} {
-		p, err := CompileWithOptions("demo", demoSrc, CompileOptions{Unroll: u})
+		p, err := Compile(context.Background(), "demo", demoSrc, CompileOptions{Unroll: u})
 		if err != nil {
 			t.Fatalf("unroll %d: %v", u, err)
 		}
@@ -190,12 +191,12 @@ func TestUnrollOptionPreservesSemantics(t *testing.T) {
 }
 
 func TestFormatSchedule(t *testing.T) {
-	p, err := Compile("demo", demoSrc)
+	p, err := Compile(context.Background(), "demo", demoSrc, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := Paper2Cluster(5)
-	r, err := Evaluate(p, m, SchemeGDP, Options{})
+	r, err := Evaluate(context.Background(), p, m, SchemeGDP, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

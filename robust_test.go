@@ -9,11 +9,12 @@ import (
 	"time"
 
 	"mcpart/internal/check"
+	"mcpart/internal/machine"
 )
 
 func demoProgram(t *testing.T) *Program {
 	t.Helper()
-	p, err := Compile("demo", demoSrc)
+	p, err := Compile(context.Background(), "demo", demoSrc, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestInternalErrorContainsPanic(t *testing.T) {
 		}
 		return nil
 	}
-	_, err := Evaluate(p, Paper2Cluster(5), SchemeGDP, opts)
+	_, err := Evaluate(context.Background(), p, Paper2Cluster(5), SchemeGDP, opts)
 	if err == nil {
 		t.Fatal("want error from panicking pipeline")
 	}
@@ -60,7 +61,7 @@ func TestMatrixPanicAttributed(t *testing.T) {
 		}
 		return nil
 	}
-	_, err := EvaluateAllWithOptions(p, Paper2Cluster(5), opts)
+	_, err := EvaluateAll(context.Background(), p, Paper2Cluster(5), opts)
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -73,7 +74,7 @@ func TestMatrixPanicAttributed(t *testing.T) {
 func TestEvaluateValidateOption(t *testing.T) {
 	p := demoProgram(t)
 	for _, s := range []Scheme{SchemeUnified, SchemeGDP, SchemeProfileMax, SchemeNaive} {
-		if _, err := Evaluate(p, Paper2Cluster(5), s, Options{Validate: true}); err != nil {
+		if _, err := Evaluate(context.Background(), p, Paper2Cluster(5), s, Options{Validate: true}); err != nil {
 			t.Errorf("%s failed validation: %v", s, err)
 		}
 	}
@@ -83,14 +84,58 @@ func TestEvaluateCtxCancellation(t *testing.T) {
 	p := demoProgram(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := EvaluateCtx(ctx, p, Paper2Cluster(5), SchemeGDP, Options{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("EvaluateCtx error = %v, want context.Canceled", err)
+	if _, err := Evaluate(ctx, p, Paper2Cluster(5), SchemeGDP, Options{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("Evaluate error = %v, want context.Canceled", err)
 	}
-	if _, err := EvaluateAllCtx(ctx, p, Paper2Cluster(5), Options{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("EvaluateAllCtx error = %v, want context.Canceled", err)
+	if _, err := EvaluateAll(ctx, p, Paper2Cluster(5), Options{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("EvaluateAll error = %v, want context.Canceled", err)
 	}
-	if _, err := ExhaustiveSearchCtx(ctx, p, Paper2Cluster(5), Options{}, 0); !errors.Is(err, context.Canceled) {
-		t.Errorf("ExhaustiveSearchCtx error = %v, want context.Canceled", err)
+	if _, err := ExhaustiveSearch(ctx, p, Paper2Cluster(5), Options{}, 0); !errors.Is(err, context.Canceled) {
+		t.Errorf("ExhaustiveSearch error = %v, want context.Canceled", err)
+	}
+}
+
+// TestEntryPointsRejectInvalidMachine pins that every entry point taking a
+// machine validates it first and fails with Validate's own error, instead
+// of producing results on a machine Evaluate would refuse. The 3-cluster
+// machine also pins that a cluster count the bisection partitioners cannot
+// split fails with the typed machine.ErrClusterCount, not an untyped error
+// from deep in the pipeline.
+func TestEntryPointsRejectInvalidMachine(t *testing.T) {
+	p := demoProgram(t)
+	k3 := FourCluster(5)
+	k3.Name, k3.Clusters = "3c-lat5", k3.Clusters[:3]
+	ctx := context.Background()
+	for _, tc := range []struct {
+		m        *Machine
+		sentinel error
+	}{
+		{Paper2Cluster(0), nil},
+		{k3, machine.ErrClusterCount},
+	} {
+		m := tc.m
+		want := m.Validate()
+		if want == nil {
+			t.Fatalf("%s validates", m.Name)
+		}
+		for name, call := range map[string]func() error{
+			"Evaluate":    func() error { _, err := Evaluate(ctx, p, m, SchemeGDP, Options{}); return err },
+			"EvaluateAll": func() error { _, err := EvaluateAll(ctx, p, m, Options{}); return err },
+			"EvaluateDataMap": func() error {
+				_, err := EvaluateDataMap(ctx, p, m, DataMap{0, 1}, Options{})
+				return err
+			},
+			"ExhaustiveSearch": func() error { _, err := ExhaustiveSearch(ctx, p, m, Options{}, 0); return err },
+			"BestMapping":      func() error { _, err := BestMapping(ctx, p, m, Options{}, 0); return err },
+		} {
+			err := call()
+			if err == nil || err.Error() != want.Error() {
+				t.Errorf("%s on %s: error = %v, want %v", name, m.Name, err, want)
+			}
+			if tc.sentinel != nil && !errors.Is(err, tc.sentinel) {
+				t.Errorf("%s on %s: error = %v, want errors.Is %v", name, m.Name, err, tc.sentinel)
+			}
+		}
 	}
 }
 
@@ -99,7 +144,7 @@ func TestEvaluateCtxDeadlinePreempts(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	time.Sleep(time.Millisecond)
-	if _, err := EvaluateAllCtx(ctx, p, Paper2Cluster(5), Options{}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := EvaluateAll(ctx, p, Paper2Cluster(5), Options{}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("error = %v, want context.DeadlineExceeded", err)
 	}
 }
@@ -114,7 +159,7 @@ func TestDegradedFallback(t *testing.T) {
 		}
 		return nil
 	}
-	cmp, err := EvaluateAllWithOptions(p, Paper2Cluster(5), opts)
+	cmp, err := EvaluateAll(context.Background(), p, Paper2Cluster(5), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +197,7 @@ func TestValidationErrorType(t *testing.T) {
 func TestFormatScheduleRejectsCorruptAssignment(t *testing.T) {
 	p := demoProgram(t)
 	m := Paper2Cluster(5)
-	r, err := Evaluate(p, m, SchemeGDP, Options{})
+	r, err := Evaluate(context.Background(), p, m, SchemeGDP, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,11 +55,10 @@ type Request struct {
 	// MaxSteps / MaxBytes bound the profiling run (see CompileOptions).
 	MaxSteps int64
 	MaxBytes int64
-	// Unroll / NoOptimize / LegacyInterp select the front-end variant; they
-	// are part of the program-cache key, so variants never collide.
-	Unroll       int
-	NoOptimize   bool
-	LegacyInterp bool
+	// Unroll / NoOptimize select the front-end variant; they are part of
+	// the program-cache key, so variants never collide.
+	Unroll     int
+	NoOptimize bool
 	// Validate re-checks every scheme result with the independent
 	// validator; Fallback enables the GDP→ProfileMax→Naive degradation
 	// chain (recorded in Result.Degraded). Workers bounds the evaluation
@@ -124,9 +123,8 @@ var errSessionClosed = errors.New("mcpart: session closed")
 // budget must keep failing for requests that ask for that budget.
 func compileKey(name, source string, req Request) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00u%d o%v l%v s%d b%d",
-		name, source, req.Unroll, req.NoOptimize, req.LegacyInterp,
-		req.MaxSteps, req.MaxBytes)
+	fmt.Fprintf(h, "%s\x00%s\x00u%d o%v s%d b%d",
+		name, source, req.Unroll, req.NoOptimize, req.MaxSteps, req.MaxBytes)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -145,7 +143,6 @@ func (r Request) compileOptions(s *Session) CompileOptions {
 		NoOptimize:    r.NoOptimize,
 		MaxSteps:      r.MaxSteps,
 		MaxBytes:      r.MaxBytes,
-		LegacyInterp:  r.LegacyInterp,
 		CacheDir:      s.opts.CacheDir,
 		CacheMaxBytes: s.opts.CacheMaxBytes,
 	}
@@ -226,7 +223,7 @@ func (s *Session) Compile(ctx context.Context, name, source string, req Request)
 		s.evictLocked(s.maxPrograms())
 		s.mu.Unlock()
 
-		prog, err := CompileCtx(ctx, name, source, req.compileOptions(s))
+		prog, err := Compile(ctx, name, source, req.compileOptions(s))
 		if err != nil {
 			s.mu.Lock()
 			s.removeLocked(e)
@@ -281,7 +278,7 @@ func (s *Session) Evaluate(ctx context.Context, name, source string, m *Machine,
 	if err != nil {
 		return nil, err
 	}
-	return EvaluateCtx(ctx, p, m, scheme, req.evalOptions(s))
+	return Evaluate(ctx, p, m, scheme, req.evalOptions(s))
 }
 
 // EvaluateAll compiles (or fetches) the program and runs all four Table 1
@@ -293,7 +290,7 @@ func (s *Session) EvaluateAll(ctx context.Context, name, source string, m *Machi
 	if err != nil {
 		return nil, err
 	}
-	return EvaluateAllCtx(ctx, p, m, req.evalOptions(s))
+	return EvaluateAll(ctx, p, m, req.evalOptions(s))
 }
 
 // Sweep compiles (or fetches) the program and enumerates every data
@@ -305,7 +302,7 @@ func (s *Session) Sweep(ctx context.Context, name, source string, m *Machine, ma
 	if err != nil {
 		return nil, err
 	}
-	return ExhaustiveSearchCtx(ctx, p, m, req.evalOptions(s), maxObjects)
+	return ExhaustiveSearch(ctx, p, m, req.evalOptions(s), maxObjects)
 }
 
 // Best compiles (or fetches) the program and runs the branch-and-bound
@@ -317,7 +314,7 @@ func (s *Session) Best(ctx context.Context, name, source string, m *Machine, max
 	if err != nil {
 		return nil, err
 	}
-	return BestMappingCtx(ctx, p, m, req.evalOptions(s), maxObjects)
+	return BestMapping(ctx, p, m, req.evalOptions(s), maxObjects)
 }
 
 // ReleaseMemory is the memory-pressure release valve: it evicts programs

@@ -65,11 +65,11 @@ func TestSessionStoreRaceHammer(t *testing.T) {
 		if _, ok := want[c]; ok {
 			continue
 		}
-		p, err := Compile(c.bench, b.Source)
+		p, err := Compile(context.Background(), c.bench, b.Source, CompileOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := Evaluate(p, m, c.scheme, Options{})
+		r, err := Evaluate(context.Background(), p, m, c.scheme, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

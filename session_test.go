@@ -182,12 +182,12 @@ func TestSessionMatchesOneShotFacade(t *testing.T) {
 	name, src := sessionBench(t, "fir")
 	m := Paper2Cluster(5)
 
-	p, err := Compile(name, src)
+	p, err := Compile(context.Background(), name, src, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, scheme := range []Scheme{SchemeUnified, SchemeGDP, SchemeProfileMax, SchemeNaive} {
-		want, err := Evaluate(p, m, scheme, Options{})
+		want, err := Evaluate(context.Background(), p, m, scheme, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
