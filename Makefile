@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race check cover fuzz bench bench-quick bench-partition bench-interp bench-store bench-sweep bench-serve serve-smoke eval fmt vet clean
+.PHONY: all build test test-short race check cover fuzz bench bench-quick bench-partition bench-interp bench-store bench-sweep bench-serve serve-smoke perfbench-test eval fmt vet clean
 
 all: build test
 
@@ -147,6 +147,13 @@ bench-serve:
 # lifecycle.
 serve-smoke:
 	./scripts/serve_smoke.sh
+
+# The repository benchmark's own tests: short smoke runs of every
+# workload, seed determinism of the generated inputs, and metric names
+# matching BENCHMARK.json. perfbench is a separate Go module (it replaces
+# mcpart with this checkout), so `go test ./...` at the root skips it.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Prints the paper's tables and figures as formatted text.
 eval:

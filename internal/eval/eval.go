@@ -422,10 +422,12 @@ func (o Options) pmaxTol() float64 { return defaults.Float(o.ProfileMaxTol, 0.10
 func (o Options) maxSteps() int64 { return defaults.Int64(o.MaxSteps, 10_000_000) }
 
 // rhopOpts returns o.RHOP with the run-wide partitioner knobs applied:
-// LegacyPartition is sticky (either level can set it) and the evaluation
+// LegacyPartition is sticky (either level can set it), the evaluation
 // worker budget doubles as the partitioner's multi-start fan-out unless
-// RHOP names its own.
-func (o Options) rhopOpts() rhop.Options {
+// RHOP names its own, and the min-cut memo is c's cache (the "kway"
+// namespace, DESIGN.md §7), so every scheme, latency and sweep over c
+// shares one run per distinct region graph.
+func (o Options) rhopOpts(c *Compiled) rhop.Options {
 	r := o.RHOP
 	r.LegacyPartition = r.LegacyPartition || o.LegacyPartition
 	if r.Workers == 0 {
@@ -434,11 +436,12 @@ func (o Options) rhopOpts() rhop.Options {
 	if r.Obs == nil {
 		r.Obs = o.Observer
 	}
+	r.Memo = o.kwayMemo(c)
 	return r
 }
 
 // gdpOpts applies the same run-wide knobs to o.GDP.
-func (o Options) gdpOpts() gdp.Options {
+func (o Options) gdpOpts(c *Compiled) gdp.Options {
 	g := o.GDP
 	g.LegacyPartition = g.LegacyPartition || o.LegacyPartition
 	if g.Workers == 0 {
@@ -447,7 +450,17 @@ func (o Options) gdpOpts() gdp.Options {
 	if g.Obs == nil {
 		g.Obs = o.Observer
 	}
+	g.Memo = o.kwayMemo(c)
 	return g
+}
+
+// kwayMemo is the min-cut memo for runs over c: c's cache, or nil when
+// this run bypasses it.
+func (o Options) kwayMemo(c *Compiled) *memo.Cache {
+	if !o.useMemo(c) {
+		return nil
+	}
+	return c.memo
 }
 
 // noopDone is beginRun's completion callback when no observer is attached;
@@ -695,7 +708,7 @@ func RunUnified(c *Compiled, cfg *machine.Config, opts Options) (r *Result, err 
 	opts, done := beginRun(c, SchemeUnified, opts)
 	defer func() { done(r, err) }()
 	res := &Result{Scheme: SchemeUnified}
-	asg, err := partitionModule(c, cfg, nil, nil, opts.rhopOpts(), opts, res)
+	asg, err := partitionModule(c, cfg, nil, nil, opts.rhopOpts(c), opts, res)
 	if err != nil {
 		return nil, err
 	}
@@ -712,7 +725,7 @@ func RunGDP(c *Compiled, cfg *machine.Config, opts Options) (r *Result, err erro
 	if err := opts.inject(SchemeGDP, "data"); err != nil {
 		return nil, fmt.Errorf("data partition: %w", err)
 	}
-	gopts := opts.gdpOpts()
+	gopts := opts.gdpOpts(c)
 	if gopts.MemFractions == nil {
 		gopts.MemFractions = cfg.MemFractions()
 	}
@@ -725,7 +738,7 @@ func RunGDP(c *Compiled, cfg *machine.Config, opts Options) (r *Result, err erro
 	res.DataMap = dp.DataMap
 	res.Groups = dp.Groups
 	res.Locks = computeLocks(c, dp.DataMap, opts)
-	asg, err := partitionModule(c, cfg, dp.DataMap, res.Locks, opts.rhopOpts(), opts, res)
+	asg, err := partitionModule(c, cfg, dp.DataMap, res.Locks, opts.rhopOpts(c), opts, res)
 	if err != nil {
 		return nil, err
 	}
@@ -740,7 +753,7 @@ func RunWithDataMap(c *Compiled, cfg *machine.Config, dm gdp.DataMap, opts Optio
 	defer func() { done(r, err) }()
 	res := &Result{Scheme: SchemeFixed, DataMap: dm}
 	res.Locks = computeLocks(c, dm, opts)
-	asg, err := partitionModule(c, cfg, dm, res.Locks, opts.rhopOpts(), opts, res)
+	asg, err := partitionModule(c, cfg, dm, res.Locks, opts.rhopOpts(c), opts, res)
 	if err != nil {
 		return nil, err
 	}
@@ -763,7 +776,7 @@ func RunProfileMax(c *Compiled, cfg *machine.Config, opts Options) (r *Result, e
 	defer func() { done(r, err) }()
 	res := &Result{Scheme: SchemeProfileMax}
 	k := cfg.NumClusters()
-	firstAsg, err := partitionModule(c, cfg, nil, nil, opts.rhopOpts(), opts, res)
+	firstAsg, err := partitionModule(c, cfg, nil, nil, opts.rhopOpts(c), opts, res)
 	if err != nil {
 		return nil, err
 	}
@@ -872,7 +885,7 @@ func RunProfileMax(c *Compiled, cfg *machine.Config, opts Options) (r *Result, e
 	}
 	res.DataMap = dm
 	res.Locks = computeLocks(c, dm, opts)
-	asg, err := partitionModule(c, cfg, dm, res.Locks, opts.rhopOpts(), opts, res)
+	asg, err := partitionModule(c, cfg, dm, res.Locks, opts.rhopOpts(c), opts, res)
 	if err != nil {
 		return nil, err
 	}
@@ -889,7 +902,7 @@ func RunNaive(c *Compiled, cfg *machine.Config, opts Options) (r *Result, err er
 	defer func() { done(r, err) }()
 	res := &Result{Scheme: SchemeNaive}
 	k := cfg.NumClusters()
-	asg, err := partitionModule(c, cfg, nil, nil, opts.rhopOpts(), opts, res)
+	asg, err := partitionModule(c, cfg, nil, nil, opts.rhopOpts(c), opts, res)
 	if err != nil {
 		return nil, err
 	}

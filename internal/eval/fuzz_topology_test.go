@@ -8,6 +8,7 @@ import (
 
 	"mcpart/internal/machine"
 	"mcpart/internal/progen"
+	"mcpart/internal/rhop"
 )
 
 // fuzzMachine derives a valid random machine from the fuzz inputs: cluster
@@ -67,9 +68,12 @@ func fuzzMachine(seed int64, machineByte, latByte, memByte uint8) *machine.Confi
 // programs × random valid machines. Oracles, in order: the derived config
 // passes machine.Validate; all four schemes run with the independent
 // validator green (the validator re-derives per-pair move costs itself,
-// so this differentially checks the scheduler's topology charging); the
-// base-k Gray-code delta sweep equals the full per-mask engine point for
-// point; and branch and bound lands exactly on the sweep's optimum.
+// so this differentially checks the scheduler's topology charging), on a
+// Compiled whose memo other machines have warmed, and equal a cache-off
+// run on a fresh Compiled (a min-cut memo key missing a result-shaping
+// input would serve another machine's partition here); the base-k
+// Gray-code delta sweep equals the full per-mask engine point for point;
+// and branch and bound lands exactly on the sweep's optimum.
 // Programs whose k^n mapping space is too large for the differential
 // enumeration skip the sweep oracles but keep the validator one.
 func FuzzTopology(f *testing.F) {
@@ -90,6 +94,16 @@ func FuzzTopology(f *testing.F) {
 		if err != nil {
 			t.Fatalf("seed %d: pipeline rejected a progen program: %v\n%s", seed, err, src)
 		}
+		// Warm c's memo on other machines: another latency of this shape,
+		// whose region graphs recur, and another topology and memory split.
+		for _, w := range []*machine.Config{
+			fuzzMachine(seed, machineByte, latByte+1, memByte),
+			fuzzMachine(seed, machineByte+4, latByte, memByte+1),
+		} {
+			if _, err := RunAllSchemes(c, w, Options{Workers: 1}); err != nil {
+				t.Fatalf("seed %d machine %s: warm-up run failed: %v\n%s", seed, w.Name, err, src)
+			}
+		}
 		br, err := RunAllSchemes(c, cfg, Options{Validate: true, Workers: 1})
 		if err != nil {
 			t.Fatalf("seed %d machine %s: validated scheme run failed: %v\n%s", seed, cfg.Name, err, src)
@@ -97,6 +111,21 @@ func FuzzTopology(f *testing.F) {
 		for _, r := range []*Result{br.Unified, br.GDP, br.PMax, br.Naive} {
 			if r.Cycles <= 0 {
 				t.Fatalf("seed %d machine %s: %s produced %d cycles", seed, cfg.Name, r.Scheme, r.Cycles)
+			}
+		}
+		fresh, err := Prepare("fuzz", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := RunAllSchemes(fresh, cfg, Options{Validate: true, Workers: 1, noMemo: true})
+		if err != nil {
+			t.Fatalf("seed %d machine %s: cache-off run failed: %v\n%s", seed, cfg.Name, err, src)
+		}
+		for i, r := range []*Result{ref.Unified, ref.GDP, ref.PMax, ref.Naive} {
+			got := []*Result{br.Unified, br.GDP, br.PMax, br.Naive}[i]
+			if !reflect.DeepEqual(namedFields(got), namedFields(r)) {
+				t.Fatalf("seed %d machine %s: %s on a warmed memo differs from a fresh cache-off run\n%s",
+					seed, cfg.Name, r.Scheme, src)
 			}
 		}
 		// Differential sweep oracles only where k^n stays enumerable.
@@ -132,4 +161,21 @@ func FuzzTopology(f *testing.F) {
 				seed, cfg.Name, best.Mask, src)
 		}
 	})
+}
+
+// namedFields is detFields with the per-function maps keyed by function
+// name, so results of two separately prepared Compiled values (whose
+// *ir.Func pointers differ) compare by content.
+func namedFields(r *Result) map[string]interface{} {
+	m := detFields(r)
+	asg := map[string][]int{}
+	for f, a := range r.Assign {
+		asg[f.Name] = a
+	}
+	locks := map[string]rhop.Locks{}
+	for f, l := range r.Locks {
+		locks[f.Name] = l
+	}
+	m["assign"], m["locks"] = asg, locks
+	return m
 }

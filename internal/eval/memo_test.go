@@ -4,37 +4,86 @@ import (
 	"reflect"
 	"testing"
 
+	"mcpart/internal/bench"
 	"mcpart/internal/machine"
 )
 
 // TestMemoEquivalenceAllSchemes pins the tentpole determinism contract:
 // every scheme returns reflect.DeepEqual-identical deterministic fields
 // with the memoization cache enabled (default) and disabled (noMemo) —
-// including a warm cache, where prior runs of other schemes have filled
-// shared entries.
+// on every bundled benchmark at 1-, 5- and 10-cycle move latency plus the
+// heterogeneous machine, all evaluated on one shared Compiled. The memoized
+// runs go first, so later latencies and schemes start from a cache warmed
+// by the earlier ones: that cross-latency, cross-scheme reuse is where the
+// content-addressed min-cut memo ("kway") earns its hits. -short and
+// -race keep one benchmark: the runs are serial, so the race detector has
+// nothing to add to the other twenty.
 func TestMemoEquivalenceAllSchemes(t *testing.T) {
+	names := bench.Names()
+	if testing.Short() || raceEnabled {
+		names = []string{"rawcaudio"}
+	}
+	cfgs := []*machine.Config{machine.Paper2Cluster(1), machine.Paper2Cluster(5),
+		machine.Paper2Cluster(10), machine.Heterogeneous2(5)}
+	for _, name := range names {
+		c := prepBench(t, name)
+		memoed := make([]*BenchResult, len(cfgs))
+		for i, cfg := range cfgs {
+			br, err := RunAllSchemes(c, cfg, Options{})
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, cfg.Name, err)
+			}
+			memoed[i] = br
+		}
+		for i, cfg := range cfgs {
+			plain, err := RunAllSchemes(c, cfg, Options{noMemo: true})
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, cfg.Name, err)
+			}
+			pairs := []struct {
+				scheme   string
+				mem, raw *Result
+			}{
+				{"unified", memoed[i].Unified, plain.Unified},
+				{"gdp", memoed[i].GDP, plain.GDP},
+				{"pmax", memoed[i].PMax, plain.PMax},
+				{"naive", memoed[i].Naive, plain.Naive},
+			}
+			for _, p := range pairs {
+				if !reflect.DeepEqual(detFields(p.mem), detFields(p.raw)) {
+					t.Errorf("%s %s %s: memoized result differs from cache-off run", name, cfg.Name, p.scheme)
+				}
+			}
+		}
+	}
+}
+
+// TestKWayMemoIsNotCorruptedByRemap pins the read-only contract of shared
+// min-cut results: the 4-cluster bus, ring and NUMA presets at one latency
+// all hand GDP's object graph to the partitioner with the same content key
+// where their memory shares agree, and GDP relabels the result onto the
+// topology afterwards. Interleaving them twice on one Compiled must give,
+// run for run, what a cache-off evaluation gives — a relabeling written
+// back into the shared partition would leak into the next machine's run.
+func TestKWayMemoIsNotCorruptedByRemap(t *testing.T) {
 	c := prepBench(t, "rawcaudio")
-	for _, cfg := range []*machine.Config{machine.Paper2Cluster(5), machine.Heterogeneous2(5)} {
-		memoed, err := RunAllSchemes(c, cfg, Options{})
+	cfgs := []*machine.Config{machine.RingFour(5), machine.NUMA4(5), machine.FourCluster(5)}
+	want := make([]*Result, len(cfgs))
+	for i, cfg := range cfgs {
+		r, err := RunGDP(c, cfg, Options{Workers: 1, noMemo: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := RunAllSchemes(c, cfg, Options{noMemo: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pairs := []struct {
-			scheme   string
-			mem, raw *Result
-		}{
-			{"unified", memoed.Unified, plain.Unified},
-			{"gdp", memoed.GDP, plain.GDP},
-			{"pmax", memoed.PMax, plain.PMax},
-			{"naive", memoed.Naive, plain.Naive},
-		}
-		for _, p := range pairs {
-			if !reflect.DeepEqual(detFields(p.mem), detFields(p.raw)) {
-				t.Errorf("%s %s: memoized result differs from cache-off run", cfg.Name, p.scheme)
+		want[i] = r
+	}
+	for round := 0; round < 2; round++ {
+		for i, cfg := range cfgs {
+			got, err := RunGDP(c, cfg, Options{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(detFields(got), detFields(want[i])) {
+				t.Errorf("round %d %s: memoized GDP differs from cache-off run", round, cfg.Name)
 			}
 		}
 	}

@@ -98,7 +98,7 @@ func buildCostTables(ctx context.Context, c *Compiled, cfg *machine.Config,
 	opts Options, rad *radix, canon bool, n int, res *Result) ([]costTable, error) {
 
 	useMemo := opts.useMemo(c)
-	ropts := opts.rhopOpts()
+	ropts := opts.rhopOpts(c)
 	mkey := cfg.CacheKey()
 	okey := ropts.CacheKey()
 	items, err := parallel.MapStage(ctx, "sweep_tables", len(c.Mod.Funcs), opts.Workers,

@@ -18,6 +18,7 @@ import (
 	"mcpart/internal/interp"
 	"mcpart/internal/ir"
 	"mcpart/internal/machine"
+	"mcpart/internal/memo"
 	"mcpart/internal/obs"
 	"mcpart/internal/partition"
 	"mcpart/internal/rhop"
@@ -68,6 +69,11 @@ type Options struct {
 	// (gdp_partitions, gdp_groups, gdp_cut_weight) and is threaded into
 	// the graph partitioner for its fm_* metrics. Nil costs nothing.
 	Obs *obs.Observer
+	// Memo, when non-nil, memoizes the object-graph min-cut by its
+	// content (partition.KWayMemo): the program-level graph does not
+	// depend on the move latency, so every latency of one machine shape
+	// shares one partition.KWay run. Value-neutral; nil runs the min-cut.
+	Memo *memo.Cache
 }
 
 func (o Options) memTol() float64 { return defaults.Float(o.MemTol, 0.10) }
@@ -301,7 +307,7 @@ func partitionData(m *ir.Module, prof *interp.Profile, k int, opts Options, mcfg
 	if opts.MemFractions != nil && len(opts.MemFractions) != k {
 		return nil, fmt.Errorf("gdp: %d memory fractions for %d clusters", len(opts.MemFractions), k)
 	}
-	part, err := partition.KWay(g, k, partition.Options{
+	shared, _, err := partition.KWayMemo(opts.Memo, g, k, partition.Options{
 		Tol:       tols,
 		Fractions: opts.MemFractions,
 		Legacy:    opts.LegacyPartition,
@@ -311,9 +317,8 @@ func partitionData(m *ir.Module, prof *interp.Profile, k int, opts Options, mcfg
 	if err != nil {
 		return nil, err
 	}
-	if k == 1 {
-		part = make([]int, g.Len())
-	}
+	// A memoized partition is shared with every other hit: work on a copy.
+	part := append([]int(nil), shared...)
 	if mcfg != nil {
 		part = remapToTopology(g, part, mcfg, opts.MemFractions)
 	}

@@ -73,6 +73,13 @@ type Options struct {
 	// refinement loops tally into scratch ints and flush once per
 	// PartitionFunc call, so nil costs nothing on the hot path.
 	Obs *obs.Observer
+	// Memo, when non-nil, memoizes every region graph's min-cut by its
+	// content (partition.KWayMemo), so identical region graphs — across
+	// move latencies, schemes, lock signatures and sweep masks — share one
+	// partition.KWay run. A hit returns exactly what the run would have,
+	// so the cache is value-neutral and excluded from CacheKey; nil runs
+	// every min-cut.
+	Memo *memo.Cache
 
 	// noIncremental disables the incremental per-block estimate cache in
 	// the refinement loops and recomputes every region estimate from
@@ -88,8 +95,8 @@ func (o Options) tol() float64 { return defaults.Float(o.BalanceTol, 0.4) }
 // CacheKey returns a canonical encoding of every option that can change a
 // partitioning outcome, with defaults resolved (so the zero Options and an
 // explicit {RefinePasses: 4, BalanceTol: 0.4} share memoized results).
-// noIncremental and Workers are excluded: both are value-neutral by
-// construction.
+// noIncremental, Workers, Obs and Memo are excluded: all are value-neutral
+// by construction.
 func (o Options) CacheKey() string {
 	return memo.NewKey("rhopopts").
 		Int(int64(o.passes())).
@@ -111,8 +118,8 @@ type scratch struct {
 	home  sched.HomeScratch
 	// observability tallies, accumulated by the refinement loops and
 	// flushed once per PartitionFunc call when Options.Obs is set.
-	tRegions, tMoves, tEvals int64
-	tKWay, tRefine           int64
+	tRegions, tMoves, tEvals  int64
+	tKWay, tKWayHits, tRefine int64
 	// homeInc is the refinement loops' incrementally-maintained home
 	// table. It is separate from home because realRegionCost and the
 	// from-scratch estimator clobber home, while a regionEval needs its
@@ -201,6 +208,7 @@ func PartitionFunc(f *ir.Func, prof *interp.Profile, mcfg *machine.Config, locks
 		opts.Obs.Counter("rhop_moves_accepted").Add(sc.tMoves)
 		opts.Obs.Counter("rhop_cost_evals").Add(sc.tEvals)
 		opts.Obs.Counter("rhop_kway_runs").Add(sc.tKWay)
+		opts.Obs.Counter("rhop_kway_memo_hits").Add(sc.tKWayHits)
 		opts.Obs.Counter("rhop_refine_runs").Add(sc.tRefine)
 	}
 	return asg, nil
@@ -267,17 +275,6 @@ type regionPre struct {
 	regBlocks map[ir.VReg][]int32 // reg -> region blocks with reg in liveIn
 	opBlock   []int32             // by op ID: region block index, -1 outside
 
-	// Lazy min-cut memo (sweep mode only). The dependence graph handed to
-	// partition.KWay is fully determined by the region structure (fixed),
-	// the locks on the region's ops, and the assignments at the external
-	// def/use sites the edge builder consults — extRefs lists those sites
-	// in traversal order, and kway maps the (locks, external assignments)
-	// key to the resulting per-op partition. Distinct full-prefix states
-	// that agree on these inputs share one KWay run.
-	extReady bool
-	extRefs  []int
-	kway     map[string][]int
-
 	// Lazy real-cost memo (sweep mode only). realRegionCost's result is a
 	// function of the assignments of the region's ops and the home
 	// clusters of the blocks' live-in registers; a home cluster in turn
@@ -286,6 +283,12 @@ type regionPre struct {
 	// (asg over region ops, asg over extHomeRefs) keys the result exactly.
 	homeReady   bool
 	extHomeRefs []int
+	// extUseRefs lists the out-of-region consumers of region definitions
+	// not already in extHomeRefs: the use-side anchors of the min-cut
+	// graph. Every out-of-region def feeding a region arg is in
+	// extHomeRefs (it can only reach a read-before-def register), so the
+	// two lists hold every outside assignment partitionRegion reads.
+	extUseRefs []int
 	// homeRegs/homeDefs drive the targeted home computation on regionCost
 	// misses: the sorted union of the blocks' live-in registers, and per
 	// register its defining ops with HomeClustersFreq's max(1, freq) block
@@ -360,40 +363,11 @@ func (pre *regionPre) ensureEvalTables(f *ir.Func) {
 	}
 }
 
-// ensureExtRefs records, in the same order the edge builder visits them,
-// the IDs of ops outside the region whose assignments shape the dependence
-// graph: external defs feeding region args and external consumers of region
-// defs. Together with the locks on the region's own ops these are the only
-// per-call inputs to the min-cut — everything else in the graph is fixed
-// region structure.
-func (pre *regionPre) ensureExtRefs(du *cfg.DefUse) {
-	if pre.extReady {
-		return
-	}
-	pre.extReady = true
-	pre.kway = map[string][]int{}
-	for _, op := range pre.regionOps {
-		for argI := range op.Args {
-			for _, defID := range du.DefsOf[op.ID][argI] {
-				if !pre.inRegion[defID] {
-					pre.extRefs = append(pre.extRefs, defID)
-				}
-			}
-		}
-		if op.Dst != ir.NoReg {
-			for _, useID := range du.UsesOf[op.ID] {
-				if !pre.inRegion[useID] {
-					pre.extRefs = append(pre.extRefs, useID)
-				}
-			}
-		}
-	}
-}
-
 // ensureHomeRefs collects, in sorted order, the IDs of ops outside the
 // region that define any live-in register of the region's blocks — the only
 // out-of-region assignments the real-cost scorer's home computation can
-// observe.
+// observe — and then the remaining outside consumers of region definitions
+// (extUseRefs), which the min-cut graph anchors from the use side.
 func (pre *regionPre) ensureHomeRefs(f *ir.Func, du *cfg.DefUse, ops []*ir.Op, prof *interp.Profile) {
 	if pre.homeReady {
 		return
@@ -419,7 +393,19 @@ func (pre *regionPre) ensureHomeRefs(f *ir.Func, du *cfg.DefUse, ops []*ir.Op, p
 			}
 		}
 	}
+	for _, op := range pre.regionOps {
+		if op.Dst == ir.NoReg {
+			continue
+		}
+		for _, id := range du.UsesOf[op.ID] {
+			if !pre.inRegion[id] && !seen[id] {
+				seen[id] = true
+				pre.extUseRefs = append(pre.extUseRefs, id)
+			}
+		}
+	}
 	sort.Ints(pre.extHomeRefs)
+	sort.Ints(pre.extUseRefs)
 	sort.Slice(pre.homeRegs, func(i, j int) bool { return pre.homeRegs[i] < pre.homeRegs[j] })
 	pre.homeDefs = make([][]homeDef, len(pre.homeRegs))
 	for i, r := range pre.homeRegs {
@@ -431,25 +417,6 @@ func (pre *regionPre) ensureHomeRefs(f *ir.Func, du *cfg.DefUse, ops []*ir.Op, p
 			pre.homeDefs[i] = append(pre.homeDefs[i], homeDef{id: int32(id), w: w})
 		}
 	}
-}
-
-// kwayKey builds the min-cut memo key: one byte per region op for its lock
-// (0 when unlocked) and one byte per external reference for its current
-// assignment (0 when unassigned, so the corresponding anchor is absent).
-func kwayKey(sc *scratch, pre *regionPre, locks Locks, asg []int) string {
-	buf := sc.keyBuf[:0]
-	for _, op := range pre.regionOps {
-		b := byte(0)
-		if c, ok := locks[op.ID]; ok {
-			b = byte(c + 1)
-		}
-		buf = append(buf, b)
-	}
-	for _, id := range pre.extRefs {
-		buf = append(buf, byte(asg[id]+1))
-	}
-	sc.keyBuf = buf
-	return string(buf)
 }
 
 func partitionRegion(sc *scratch, pre *regionPre, f *ir.Func, du *cfg.DefUse, ops []*ir.Op,
@@ -465,121 +432,113 @@ func partitionRegion(sc *scratch, pre *regionPre, f *ir.Func, du *cfg.DefUse, op
 	sc.tRegions++
 	sc.curPre = pre
 
-	// Sweep mode memoizes the min-cut by its true inputs; a hit skips the
-	// graph build and the KWay run entirely.
-	var part []int
-	var kwKey string
-	if sc.dirtyEval {
-		pre.ensureExtRefs(du)
-		pre.ensureHomeRefs(f, du, ops, prof)
-		kwKey = kwayKey(sc, pre, locks, asg)
-		part = pre.kway[kwKey]
+	// Graph nodes: region ops, then one anchor per live-in value with
+	// a known home cluster.
+	idx := pre.idx
+	if sc.anchorIdx == nil {
+		sc.anchorIdx = map[int]int{} // defining op ID outside region -> node
+	} else {
+		for k := range sc.anchorIdx {
+			delete(sc.anchorIdx, k)
+		}
 	}
-	if part == nil {
-		// Graph nodes: region ops, then one anchor per live-in value with
-		// a known home cluster.
-		idx := pre.idx
-		if sc.anchorIdx == nil {
-			sc.anchorIdx = map[int]int{} // defining op ID outside region -> node
-		} else {
-			for k := range sc.anchorIdx {
-				delete(sc.anchorIdx, k)
-			}
-		}
-		anchorIdx := sc.anchorIdx
-		anchors := sc.anchors[:0]
+	anchorIdx := sc.anchorIdx
+	anchors := sc.anchors[:0]
 
-		slack := pre.slack
-		maxSlack := pre.maxSlack
+	slack := pre.slack
+	maxSlack := pre.maxSlack
 
-		edges := sc.edges[:0]
-		addAnchor := func(key, home, node int, w int64) {
-			ai, ok := anchorIdx[key]
-			if !ok {
-				ai = len(regionOps) + len(anchors)
-				anchorIdx[key] = ai
-				anchors = append(anchors, regionAnchor{home: home})
-			}
-			edges = append(edges, regionEdge{u: ai, v: node, w: w})
+	edges := sc.edges[:0]
+	addAnchor := func(key, home, node int, w int64) {
+		ai, ok := anchorIdx[key]
+		if !ok {
+			ai = len(regionOps) + len(anchors)
+			anchorIdx[key] = ai
+			anchors = append(anchors, regionAnchor{home: home})
 		}
-		for _, op := range regionOps {
-			u := idx[op.ID]
-			freq := blockFreq(prof, op.Block)
-			for argI := range op.Args {
-				for _, defID := range du.DefsOf[op.ID][argI] {
-					w := int64(1)
-					if !opts.UniformEdges {
-						w = maxSlack + 1 - slack[edgeKey{defID, op.ID}]
-						if w < 1 {
-							w = 1
-						}
-					}
-					w *= scaleFreq(freq)
-					if inRegion[defID] {
-						edges = append(edges, regionEdge{u: idx[defID], v: u, w: w})
-						continue
-					}
-					// Live-in from an already-partitioned def: anchor it.
-					if home := asg[defID]; home >= 0 {
-						addAnchor(defID, home, u, w)
+		edges = append(edges, regionEdge{u: ai, v: node, w: w})
+	}
+	for _, op := range regionOps {
+		u := idx[op.ID]
+		freq := blockFreq(prof, op.Block)
+		for argI := range op.Args {
+			for _, defID := range du.DefsOf[op.ID][argI] {
+				w := int64(1)
+				if !opts.UniformEdges {
+					w = maxSlack + 1 - slack[edgeKey{defID, op.ID}]
+					if w < 1 {
+						w = 1
 					}
 				}
-			}
-			// Live-out consumers already placed in other regions anchor
-			// this op's definition from the use side.
-			if op.Dst != ir.NoReg {
-				for _, useID := range du.UsesOf[op.ID] {
-					if inRegion[useID] {
-						continue
-					}
-					if home := asg[useID]; home >= 0 {
-						w := scaleFreq(blockFreq(prof, ops[useID].Block))
-						addAnchor(^useID, home, u, w)
-					}
+				w *= scaleFreq(freq)
+				if inRegion[defID] {
+					edges = append(edges, regionEdge{u: idx[defID], v: u, w: w})
+					continue
+				}
+				// Live-in from an already-partitioned def: anchor it.
+				if home := asg[defID]; home >= 0 {
+					addAnchor(defID, home, u, w)
 				}
 			}
 		}
-
-		sc.edges, sc.anchors = edges, anchors
-
-		g := partition.NewGraph(len(regionOps)+len(anchors), 1)
-		for i, op := range regionOps {
-			g.W[i][0] = scaleFreq(blockFreq(prof, op.Block))
-			if c, ok := locks[op.ID]; ok {
-				g.Fixed[i] = c
+		// Live-out consumers already placed in other regions anchor
+		// this op's definition from the use side.
+		if op.Dst != ir.NoReg {
+			for _, useID := range du.UsesOf[op.ID] {
+				if inRegion[useID] {
+					continue
+				}
+				if home := asg[useID]; home >= 0 {
+					w := scaleFreq(blockFreq(prof, ops[useID].Block))
+					addAnchor(^useID, home, u, w)
+				}
 			}
 		}
-		for i, a := range anchors {
-			g.Fixed[len(regionOps)+i] = a.home
-		}
-		deg := sc.deg[:0]
-		for range g.Fixed {
-			deg = append(deg, 0)
-		}
-		for _, e := range edges {
-			deg[e.u]++
-			deg[e.v]++
-		}
-		sc.deg = deg
-		g.Reserve(deg)
-		for _, e := range edges {
-			g.Connect(e.u, e.v, e.w)
-		}
+	}
 
+	sc.edges, sc.anchors = edges, anchors
+
+	g := partition.NewGraph(len(regionOps)+len(anchors), 1)
+	for i, op := range regionOps {
+		g.W[i][0] = scaleFreq(blockFreq(prof, op.Block))
+		if c, ok := locks[op.ID]; ok {
+			g.Fixed[i] = c
+		}
+	}
+	for i, a := range anchors {
+		g.Fixed[len(regionOps)+i] = a.home
+	}
+	deg := sc.deg[:0]
+	for range g.Fixed {
+		deg = append(deg, 0)
+	}
+	for _, e := range edges {
+		deg[e.u]++
+		deg[e.v]++
+	}
+	sc.deg = deg
+	g.Reserve(deg)
+	for _, e := range edges {
+		g.Connect(e.u, e.v, e.w)
+	}
+
+	// The min-cut is memoized by graph content: the region graph's
+	// weights come from opcode slack and profile frequency, never from the
+	// move latency, so the same problem recurs across latencies, schemes
+	// and sweep masks. part is shared with other hits and read-only here.
+	part, hit, err := partition.KWayMemo(opts.Memo, g, k, partition.Options{
+		Tol:     []float64{opts.tol()},
+		Legacy:  opts.LegacyPartition,
+		Workers: opts.Workers,
+		Obs:     opts.Obs,
+	})
+	if err != nil {
+		return err
+	}
+	if hit {
+		sc.tKWayHits++
+	} else {
 		sc.tKWay++
-		p, err := partition.KWay(g, k, partition.Options{
-			Tol:     []float64{opts.tol()},
-			Legacy:  opts.LegacyPartition,
-			Workers: opts.Workers,
-			Obs:     opts.Obs,
-		})
-		if err != nil {
-			return err
-		}
-		part = p
-		if sc.dirtyEval {
-			pre.kway[kwKey] = append([]int(nil), part[:len(regionOps)]...)
-		}
 	}
 
 	// Candidate 1: the min-cut partition, refined by schedule estimates.

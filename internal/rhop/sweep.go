@@ -45,8 +45,8 @@ type FuncPartitioner struct {
 	hits, misses int64
 	// last-flushed observability tallies, so each Partition call flushes
 	// only its own delta like one-shot PartitionFunc does.
-	obsRegions, obsMoves, obsEvals int64
-	obsKWay, obsRefine             int64
+	obsRegions, obsMoves, obsEvals  int64
+	obsKWay, obsKWayHits, obsRefine int64
 }
 
 // NewFuncPartitioner prepares f for repeated partitioning. The preparation
@@ -94,7 +94,6 @@ func (fp *FuncPartitioner) Partition(locks Locks) ([]int, error) {
 		if len(pre.regionOps) == 0 {
 			continue
 		}
-		pre.ensureExtRefs(fp.du)
 		pre.ensureHomeRefs(f, fp.du, fp.ops, fp.prof)
 		buf := fp.regionKey(pre, locks, asg)
 		if snap, ok := fp.caches[ri][string(buf)]; ok {
@@ -126,20 +125,21 @@ func (fp *FuncPartitioner) Partition(locks Locks) ([]int, error) {
 		o.Counter("rhop_moves_accepted").Add(fp.sc.tMoves - fp.obsMoves)
 		o.Counter("rhop_cost_evals").Add(fp.sc.tEvals - fp.obsEvals)
 		o.Counter("rhop_kway_runs").Add(fp.sc.tKWay - fp.obsKWay)
+		o.Counter("rhop_kway_memo_hits").Add(fp.sc.tKWayHits - fp.obsKWayHits)
 		o.Counter("rhop_refine_runs").Add(fp.sc.tRefine - fp.obsRefine)
 		fp.obsRegions, fp.obsMoves, fp.obsEvals = fp.sc.tRegions, fp.sc.tMoves, fp.sc.tEvals
-		fp.obsKWay, fp.obsRefine = fp.sc.tKWay, fp.sc.tRefine
+		fp.obsKWay, fp.obsKWayHits, fp.obsRefine = fp.sc.tKWay, fp.sc.tKWayHits, fp.sc.tRefine
 	}
 	return asg, nil
 }
 
 // regionKey encodes the complete input closure of one region's
 // partitioning: the lock state of each region op (in region order) and the
-// prior assignments partitionRegion can observe — the external def/use
-// sites its graph anchors consult (extRefs) and the out-of-region definers
-// of the blocks' live-in registers (extHomeRefs), which are the only
-// out-of-region assignments the cost scorer's and refiners' home
-// computations depend on. -1 and clusters 0..k-1 fit one byte each; k is
+// prior assignments partitionRegion can observe — the out-of-region
+// definers of the blocks' live-in registers (extHomeRefs), which cover the
+// def-side graph anchors and are the only out-of-region assignments the
+// cost scorer's and refiners' home computations depend on, and the
+// out-of-region consumers the use-side anchors consult (extUseRefs). -1 and clusters 0..k-1 fit one byte each; k is
 // bounded well below 254 by machine configs. The returned buffer is owned
 // by fp and valid until the next call; callers look up with a zero-copy
 // string conversion and materialize the key only to store.
@@ -152,10 +152,10 @@ func (fp *FuncPartitioner) regionKey(pre *regionPre, locks Locks, asg []int) []b
 			buf = append(buf, 0xFF)
 		}
 	}
-	for _, id := range pre.extRefs {
+	for _, id := range pre.extHomeRefs {
 		buf = append(buf, byte(asg[id]+1))
 	}
-	for _, id := range pre.extHomeRefs {
+	for _, id := range pre.extUseRefs {
 		buf = append(buf, byte(asg[id]+1))
 	}
 	fp.keyBuf = buf
