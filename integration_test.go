@@ -9,7 +9,6 @@ import (
 
 	"mcpart/internal/interp"
 	"mcpart/internal/ir"
-	"mcpart/internal/machine"
 	"mcpart/internal/sched"
 )
 
@@ -60,9 +59,9 @@ func checkResult(t *testing.T, mod *ir.Module, prof *interp.Profile, m *Machine,
 				if c < 0 || c >= m.NumClusters() {
 					t.Fatalf("%s/%s: op %d on cluster %d", r.Scheme, f.Name, op.ID, c)
 				}
-				if m.Units(c, machine.KindOf(op.Opcode)) == 0 {
+				if m.Units(c, op.Opcode.Info().FU) == 0 {
 					t.Fatalf("%s/%s: op %d needs %s units on cluster %d",
-						r.Scheme, f.Name, op.ID, machine.KindOf(op.Opcode), c)
+						r.Scheme, f.Name, op.ID, op.Opcode.Info().FU, c)
 				}
 			}
 		}
@@ -80,7 +79,7 @@ func checkResult(t *testing.T, mod *ir.Module, prof *interp.Profile, m *Machine,
 		}
 	}
 	width := int64(0)
-	for k := machine.FUKind(0); k < machine.NumFUKinds; k++ {
+	for k := ir.FUKind(0); k < ir.NumFUKinds; k++ {
 		width += int64(m.TotalUnits(k))
 	}
 	if r.Cycles < weightedOps/width {

@@ -1,9 +1,10 @@
 // Package bytecode compiles IR modules to a compact flat bytecode and
 // executes it in a table-driven dispatch-loop VM. It is the fast profiler
-// behind eval.Prepare: the VM accumulates exactly the same interp.Profile
-// (block frequencies, per-op object access counts, allocation sizes, step
-// count) as the tree-walking interpreter, byte for byte, at roughly an
-// order of magnitude higher throughput (BENCH_interp.json).
+// behind eval.Prepare and the memory tracer behind cache.Collect: the VM
+// accumulates exactly the same interp.Profile (block frequencies, per-op
+// object access counts, allocation sizes, step count) as the tree-walking
+// interpreter, byte for byte, at several times its throughput
+// (BENCH_interp.json).
 //
 // Why it is fast where internal/interp is slow: the tree walker allocates
 // an argument slice per executed operation, decodes operand kinds on every
@@ -11,7 +12,9 @@
 // all of that once, at compile time:
 //
 //   - every instruction is one fixed-size struct in a flat []instr, so
-//     dispatch is an array index plus one switch on a dense opcode;
+//     dispatch is an array index plus one switch on its ir.Opcode, and
+//     every arithmetic opcode runs through interp.Apply and the ir opcode
+//     table, exactly as in the tree walker;
 //   - constants are interned into a per-function pool that is materialized
 //     into the high end of the frame's register window, so every operand —
 //     register or immediate — is a plain register index at run time;
@@ -25,7 +28,8 @@
 // The tree-walking interpreter remains the differential-testing oracle:
 // the VM must produce the same checksum and a DeepEqual-identical Profile
 // on every program (pinned across the benchmark suite and fuzzed by
-// FuzzVM; see DESIGN.md §11).
+// FuzzVM; see DESIGN.md §11). The engines share their arithmetic, so
+// testdata/arith.golden is its reference (DESIGN.md §16).
 package bytecode
 
 import (
@@ -41,78 +45,31 @@ import (
 // materialized constant pool), except where the opcode documents
 // otherwise (jump offsets, pool offsets, interned indices). The layout is
 // uniform so the dispatch loop never decodes variable-length operands.
+//
+// Arithmetic and mov read r[a] (and r[b]; unary ops set b = a) into
+// r[dst]. The memory and control opcodes re-encode their IR operands:
+//
+//	addr    dst = &globals[c]
+//	malloc  dst = fresh instance of r[a] bytes at heap site c
+//	load    dst = *r[a]
+//	store   *r[a] = r[b]
+//	br      pc = a; blockFreq[aux]++
+//	brcond  if r[a]!=0 { pc = b; blockFreq[dst]++ } else { pc = c; blockFreq[aux]++ }
+//	call    dst = call fns[aux](argPool[a : a+b]...)
+//	ret     return r[a] (a == -1: return int 0)
+//
+// Memory ops carry their interned memory-op index (profile row) in aux.
+// Jump targets are absolute instruction offsets resolved at compile time;
+// the block indices ride along so the VM bumps block frequencies without
+// a side table.
 type instr struct {
-	op  uint8 // dense opcode (the bcXxx table below)
+	op  ir.Opcode
 	dst int32 // destination register, or -1
 	a   int32 // first operand (see opcode)
 	b   int32 // second operand (see opcode)
 	c   int32 // third operand (see opcode)
 	aux int32 // interned index: block, object, callee, or memory op
 }
-
-// The dense opcode table. Values are contiguous so the dispatch switch
-// compiles to a jump table. Integer and float groups mirror the IR
-// opcodes one to one; the control and memory groups re-encode their IR
-// counterparts with resolved offsets and interned indices.
-const (
-	bcInvalid uint8 = iota
-
-	// dst = r[a] op r[b]; runtime kind checks mirror internal/interp
-	// (add/sub/cmpeq/cmpne accept the pointer forms).
-	bcAdd
-	bcSub
-	bcMul
-	bcDiv
-	bcRem
-	bcAnd
-	bcOr
-	bcXor
-	bcShl
-	bcShr
-	bcCmpEQ
-	bcCmpNE
-	bcCmpLT
-	bcCmpLE
-	bcCmpGT
-	bcCmpGE
-
-	// dst = op r[a].
-	bcNeg
-	bcNot
-	bcIToF
-	bcFToI
-	bcMov
-
-	// dst = r[a] fop r[b].
-	bcFAdd
-	bcFSub
-	bcFMul
-	bcFDiv
-	bcFCmpEQ
-	bcFCmpNE
-	bcFCmpLT
-	bcFCmpLE
-	bcFCmpGT
-	bcFCmpGE
-
-	// dst = -r[a].
-	bcFNeg
-
-	// Memory. aux = interned memory-op index (profile row); bcAddr and
-	// bcMalloc carry the object ID in c.
-	bcAddr   // dst = &globals[c]
-	bcMalloc // dst = fresh instance of r[a] bytes at heap site c
-	bcLoad   // dst = *r[a]
-	bcStore  // *r[a] = r[b]
-
-	// Control. Jump targets are absolute instruction offsets resolved at
-	// compile time; the extra fields carry the target block indices so
-	// the VM can bump block frequencies without a side table.
-	bcBr     // pc = a; blockFreq[aux]++
-	bcBrCond // if r[a]!=0 { pc = b; blockFreq[dst]++ } else { pc = c; blockFreq[aux]++ }
-	bcCall   // dst = call fns[aux](argPool[a : a+b]...)
-	bcRet    // return r[a] (a == -1: return int 0)
-)
 
 // fnCode is one function compiled to bytecode.
 type fnCode struct {
@@ -146,27 +103,9 @@ func (p *Program) funcIndex(name string) int32 {
 	return -1
 }
 
-// binaryOps maps the IR's two-operand opcodes onto bytecode opcodes.
-var binaryOps = map[ir.Opcode]uint8{
-	ir.OpAdd: bcAdd, ir.OpSub: bcSub, ir.OpMul: bcMul, ir.OpDiv: bcDiv,
-	ir.OpRem: bcRem, ir.OpAnd: bcAnd, ir.OpOr: bcOr, ir.OpXor: bcXor,
-	ir.OpShl: bcShl, ir.OpShr: bcShr,
-	ir.OpCmpEQ: bcCmpEQ, ir.OpCmpNE: bcCmpNE, ir.OpCmpLT: bcCmpLT,
-	ir.OpCmpLE: bcCmpLE, ir.OpCmpGT: bcCmpGT, ir.OpCmpGE: bcCmpGE,
-	ir.OpFAdd: bcFAdd, ir.OpFSub: bcFSub, ir.OpFMul: bcFMul, ir.OpFDiv: bcFDiv,
-	ir.OpFCmpEQ: bcFCmpEQ, ir.OpFCmpNE: bcFCmpNE, ir.OpFCmpLT: bcFCmpLT,
-	ir.OpFCmpLE: bcFCmpLE, ir.OpFCmpGT: bcFCmpGT, ir.OpFCmpGE: bcFCmpGE,
-}
-
-// unaryOps maps the IR's one-operand opcodes onto bytecode opcodes.
-var unaryOps = map[ir.Opcode]uint8{
-	ir.OpNeg: bcNeg, ir.OpNot: bcNot, ir.OpIToF: bcIToF, ir.OpFToI: bcFToI,
-	ir.OpMov: bcMov, ir.OpFNeg: bcFNeg,
-}
-
 // Compile lowers a front-end module to bytecode. It rejects malformed
-// modules (unknown callees, blocks without terminators, scheduler-only
-// pseudo-ops) with an error rather than compiling a trap: the VM trusts
+// modules (unknown callees, blocks without terminators, opcodes without
+// semantics) with an error rather than compiling a trap: the VM trusts
 // compiled code to stay within its function's instruction array.
 func Compile(m *ir.Module) (*Program, error) {
 	p := &Program{
@@ -258,12 +197,12 @@ func (p *Program) compileFunc(f *ir.Func) (*fnCode, error) {
 	// A value-producing op may legally discard its result (Dst == NoReg);
 	// the tree walker branches on that per execution, the VM instead points
 	// such dsts at a scratch slot past the constant pool so the hot loop
-	// stays branch-free.
+	// stays branch-free. (A call handles its optional destination itself.)
 	scratch := int32(c.fc.frame)
 	needScratch := false
 	for i := range c.fc.code {
 		in := &c.fc.code[i]
-		if in.dst == -1 && opWritesDst(in.op) {
+		if in.dst == -1 && in.op.HasDst() && in.op != ir.OpCall {
 			in.dst = scratch
 			needScratch = true
 		}
@@ -272,17 +211,6 @@ func (p *Program) compileFunc(f *ir.Func) (*fnCode, error) {
 		c.fc.frame++
 	}
 	return c.fc, nil
-}
-
-// opWritesDst reports whether the opcode unconditionally writes r[dst].
-// (bcCall handles its optional destination explicitly; control and store
-// opcodes reuse the dst field for other purposes or not at all.)
-func opWritesDst(op uint8) bool {
-	switch op {
-	case bcStore, bcBr, bcBrCond, bcCall, bcRet, bcInvalid:
-		return false
-	}
-	return true
 }
 
 // reg lowers an operand to a register index: virtual registers map to the
@@ -324,15 +252,13 @@ func dstReg(op *ir.Op) int32 {
 }
 
 func (c *funcCompiler) emit(op *ir.Op) error {
-	in := instr{dst: dstReg(op), a: -1, b: -1, c: -1, aux: -1}
+	in := instr{op: op.Opcode, dst: dstReg(op), a: -1, b: -1, c: -1, aux: -1}
 	switch op.Opcode {
 	case ir.OpBr:
-		in.op = bcBr
 		in.a = c.blockIdx[op.Block.Succs[0]] // patched to an offset below
 		in.aux = c.blockIdx[op.Block.Succs[0]]
 		c.addPatch('a')
 	case ir.OpBrCond:
-		in.op = bcBrCond
 		in.a = c.reg(op.Args[0])
 		in.b = c.blockIdx[op.Block.Succs[0]]
 		in.c = c.blockIdx[op.Block.Succs[1]]
@@ -341,7 +267,6 @@ func (c *funcCompiler) emit(op *ir.Op) error {
 		c.addPatch('b')
 		c.addPatch('c')
 	case ir.OpRet:
-		in.op = bcRet
 		if len(op.Args) > 0 {
 			in.a = c.reg(op.Args[0])
 		}
@@ -353,7 +278,6 @@ func (c *funcCompiler) emit(op *ir.Op) error {
 		if want := c.p.mod.Funcs[callee].NParams; want != len(op.Args) {
 			return fmt.Errorf("call of %s with %d args, want %d", op.Callee, len(op.Args), want)
 		}
-		in.op = bcCall
 		in.a = int32(len(c.fc.argPool))
 		in.b = int32(len(op.Args))
 		in.aux = callee
@@ -361,35 +285,27 @@ func (c *funcCompiler) emit(op *ir.Op) error {
 			c.fc.argPool = append(c.fc.argPool, c.reg(a))
 		}
 	case ir.OpAddr:
-		in.op = bcAddr
 		in.c = int32(op.Obj.ID)
 	case ir.OpMalloc:
-		in.op = bcMalloc
 		in.a = c.reg(op.Args[0])
 		in.c = int32(op.MallocSite.ID)
 		in.aux = c.memOpIndex(op)
 	case ir.OpLoad:
-		in.op = bcLoad
 		in.a = c.reg(op.Args[0])
 		in.aux = c.memOpIndex(op)
 	case ir.OpStore:
-		in.op = bcStore
 		in.a = c.reg(op.Args[0])
 		in.b = c.reg(op.Args[1])
 		in.aux = c.memOpIndex(op)
 	default:
-		if bc, ok := binaryOps[op.Opcode]; ok {
-			in.op = bc
-			in.a = c.reg(op.Args[0])
+		if op.Opcode.Info().Eval == nil && op.Opcode != ir.OpMov {
+			return fmt.Errorf("unsupported opcode %s", op.Opcode)
+		}
+		in.a = c.reg(op.Args[0])
+		in.b = in.a
+		if len(op.Args) > 1 {
 			in.b = c.reg(op.Args[1])
-			break
 		}
-		if bc, ok := unaryOps[op.Opcode]; ok {
-			in.op = bc
-			in.a = c.reg(op.Args[0])
-			break
-		}
-		return fmt.Errorf("unsupported opcode %s", op.Opcode)
 	}
 	c.fc.code = append(c.fc.code, in)
 	return nil

@@ -261,159 +261,13 @@ func (vm *VM) exec(fi int32, args []interp.Value) (interp.Value, error) {
 		}
 		switch in.op {
 
-		case bcAdd:
-			x, y := &regs[in.a], &regs[in.b]
-			if x.Kind == interp.ValInt && y.Kind == interp.ValInt {
-				regs[in.dst] = interp.IntVal(x.I + y.I)
-			} else if x.Kind == interp.ValPtr && y.Kind == interp.ValInt {
-				regs[in.dst] = interp.Value{Kind: interp.ValPtr, Inst: x.Inst, Off: x.Off + y.I}
-			} else if y.Kind == interp.ValPtr && x.Kind == interp.ValInt {
-				regs[in.dst] = interp.Value{Kind: interp.ValPtr, Inst: y.Inst, Off: y.Off + x.I}
-			} else {
-				return interp.Value{}, vm.errAt(fc, pc, kindErr("add", *x, *y))
-			}
-
-		case bcSub:
-			x, y := &regs[in.a], &regs[in.b]
-			if x.Kind == interp.ValInt && y.Kind == interp.ValInt {
-				regs[in.dst] = interp.IntVal(x.I - y.I)
-			} else if x.Kind == interp.ValPtr && y.Kind == interp.ValInt {
-				regs[in.dst] = interp.Value{Kind: interp.ValPtr, Inst: x.Inst, Off: x.Off - y.I}
-			} else if x.Kind == interp.ValPtr && y.Kind == interp.ValPtr {
-				if x.Inst != y.Inst {
-					return interp.Value{}, vm.errAt(fc, pc,
-						fmt.Errorf("subtraction of pointers into different objects"))
-				}
-				regs[in.dst] = interp.IntVal(x.Off - y.Off)
-			} else {
-				return interp.Value{}, vm.errAt(fc, pc, kindErr("sub", *x, *y))
-			}
-
-		case bcMul, bcDiv, bcRem, bcAnd, bcOr, bcXor, bcShl, bcShr,
-			bcCmpLT, bcCmpLE, bcCmpGT, bcCmpGE:
-			x, y := &regs[in.a], &regs[in.b]
-			if x.Kind != interp.ValInt || y.Kind != interp.ValInt {
-				return interp.Value{}, vm.errAt(fc, pc, kindErr(opName(in.op), *x, *y))
-			}
-			var r int64
-			switch in.op {
-			case bcMul:
-				r = x.I * y.I
-			case bcDiv:
-				if y.I == 0 {
-					return interp.Value{}, vm.errAt(fc, pc, fmt.Errorf("division by zero"))
-				}
-				r = x.I / y.I
-			case bcRem:
-				if y.I == 0 {
-					return interp.Value{}, vm.errAt(fc, pc, fmt.Errorf("remainder by zero"))
-				}
-				r = x.I % y.I
-			case bcAnd:
-				r = x.I & y.I
-			case bcOr:
-				r = x.I | y.I
-			case bcXor:
-				r = x.I ^ y.I
-			case bcShl:
-				r = x.I << (uint64(y.I) & 63)
-			case bcShr:
-				r = x.I >> (uint64(y.I) & 63)
-			case bcCmpLT:
-				r = b2i(x.I < y.I)
-			case bcCmpLE:
-				r = b2i(x.I <= y.I)
-			case bcCmpGT:
-				r = b2i(x.I > y.I)
-			case bcCmpGE:
-				r = b2i(x.I >= y.I)
-			}
-			regs[in.dst] = interp.IntVal(r)
-
-		case bcCmpEQ, bcCmpNE:
-			x, y := &regs[in.a], &regs[in.b]
-			if x.Kind == interp.ValPtr || y.Kind == interp.ValPtr {
-				eq := x.Kind == interp.ValPtr && y.Kind == interp.ValPtr &&
-					x.Inst == y.Inst && x.Off == y.Off
-				if in.op == bcCmpNE {
-					eq = !eq
-				}
-				regs[in.dst] = interp.IntVal(b2i(eq))
-				break
-			}
-			if x.Kind != interp.ValInt || y.Kind != interp.ValInt {
-				return interp.Value{}, vm.errAt(fc, pc, kindErr(opName(in.op), *x, *y))
-			}
-			if in.op == bcCmpEQ {
-				regs[in.dst] = interp.IntVal(b2i(x.I == y.I))
-			} else {
-				regs[in.dst] = interp.IntVal(b2i(x.I != y.I))
-			}
-
-		case bcNeg, bcNot, bcIToF:
-			x := &regs[in.a]
-			if x.Kind != interp.ValInt {
-				return interp.Value{}, vm.errAt(fc, pc, fmt.Errorf("expected int, got %s", x))
-			}
-			switch in.op {
-			case bcNeg:
-				regs[in.dst] = interp.IntVal(-x.I)
-			case bcNot:
-				regs[in.dst] = interp.IntVal(^x.I)
-			case bcIToF:
-				regs[in.dst] = interp.FloatVal(float64(x.I))
-			}
-
-		case bcMov:
+		case ir.OpMov:
 			regs[in.dst] = regs[in.a]
 
-		case bcFAdd, bcFSub, bcFMul, bcFDiv,
-			bcFCmpEQ, bcFCmpNE, bcFCmpLT, bcFCmpLE, bcFCmpGT, bcFCmpGE:
-			x, y := &regs[in.a], &regs[in.b]
-			if x.Kind != interp.ValFloat || y.Kind != interp.ValFloat {
-				return interp.Value{}, vm.errAt(fc, pc, kindErrF(opName(in.op), *x, *y))
-			}
-			switch in.op {
-			case bcFAdd:
-				regs[in.dst] = interp.FloatVal(x.F + y.F)
-			case bcFSub:
-				regs[in.dst] = interp.FloatVal(x.F - y.F)
-			case bcFMul:
-				regs[in.dst] = interp.FloatVal(x.F * y.F)
-			case bcFDiv:
-				regs[in.dst] = interp.FloatVal(x.F / y.F)
-			case bcFCmpEQ:
-				regs[in.dst] = interp.IntVal(b2i(x.F == y.F))
-			case bcFCmpNE:
-				regs[in.dst] = interp.IntVal(b2i(x.F != y.F))
-			case bcFCmpLT:
-				regs[in.dst] = interp.IntVal(b2i(x.F < y.F))
-			case bcFCmpLE:
-				regs[in.dst] = interp.IntVal(b2i(x.F <= y.F))
-			case bcFCmpGT:
-				regs[in.dst] = interp.IntVal(b2i(x.F > y.F))
-			case bcFCmpGE:
-				regs[in.dst] = interp.IntVal(b2i(x.F >= y.F))
-			}
-
-		case bcFNeg:
-			x := &regs[in.a]
-			if x.Kind != interp.ValFloat {
-				return interp.Value{}, vm.errAt(fc, pc, fmt.Errorf("expected float, got %s", x))
-			}
-			regs[in.dst] = interp.FloatVal(-x.F)
-
-		case bcFToI:
-			x := &regs[in.a]
-			if x.Kind != interp.ValFloat {
-				return interp.Value{}, vm.errAt(fc, pc, fmt.Errorf("expected float, got %s", x))
-			}
-			regs[in.dst] = interp.IntVal(int64(x.F))
-
-		case bcAddr:
+		case ir.OpAddr:
 			regs[in.dst] = interp.Value{Kind: interp.ValPtr, Inst: vm.globals[in.c]}
 
-		case bcMalloc:
+		case ir.OpMalloc:
 			size := &regs[in.a]
 			if size.Kind != interp.ValInt || size.I < 0 {
 				return interp.Value{}, vm.errAt(fc, pc, fmt.Errorf("malloc of bad size %s", size))
@@ -431,7 +285,7 @@ func (vm *VM) exec(fi int32, args []interp.Value) (interp.Value, error) {
 			vm.count(in.aux, int(in.c))
 			regs[in.dst] = interp.Value{Kind: interp.ValPtr, Inst: inst}
 
-		case bcLoad:
+		case ir.OpLoad:
 			p := &regs[in.a]
 			w, err := deref(p)
 			if err != nil {
@@ -444,7 +298,7 @@ func (vm *VM) exec(fi int32, args []interp.Value) (interp.Value, error) {
 			}
 			regs[in.dst] = *w
 
-		case bcStore:
+		case ir.OpStore:
 			p := &regs[in.a]
 			w, err := deref(p)
 			if err != nil {
@@ -459,12 +313,12 @@ func (vm *VM) exec(fi int32, args []interp.Value) (interp.Value, error) {
 			pc++
 			continue
 
-		case bcBr:
+		case ir.OpBr:
 			freq[in.aux]++
 			pc = in.a
 			continue
 
-		case bcBrCond:
+		case ir.OpBrCond:
 			cond := &regs[in.a]
 			if cond.Kind != interp.ValInt {
 				return interp.Value{}, vm.errAt(fc, pc, fmt.Errorf("brcond on non-int %s", cond))
@@ -478,7 +332,7 @@ func (vm *VM) exec(fi int32, args []interp.Value) (interp.Value, error) {
 			}
 			continue
 
-		case bcCall:
+		case ir.OpCall:
 			callee := vm.p.fns[in.aux]
 			if len(vm.frames)+2 > maxCallDepth {
 				return interp.Value{}, fmt.Errorf(
@@ -498,7 +352,7 @@ func (vm *VM) exec(fi int32, args []interp.Value) (interp.Value, error) {
 			freq[0]++
 			continue
 
-		case bcRet:
+		case ir.OpRet:
 			var res interp.Value
 			if in.a >= 0 {
 				res = regs[in.a]
@@ -520,8 +374,10 @@ func (vm *VM) exec(fi int32, args []interp.Value) (interp.Value, error) {
 			}
 			continue
 
-		default:
-			return interp.Value{}, vm.errAt(fc, pc, fmt.Errorf("bad opcode %d", in.op))
+		default: // arithmetic; Compile admits no other opcode here
+			if err := interp.Apply(in.op, &regs[in.dst], &regs[in.a], &regs[in.b]); err != nil {
+				return interp.Value{}, vm.errAt(fc, pc, err)
+			}
 		}
 		pc++
 	}
@@ -549,41 +405,4 @@ func deref(p *interp.Value) (*interp.Value, error) {
 			p, len(p.Inst.Words))
 	}
 	return &p.Inst.Words[idx], nil
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func kindErr(op string, x, y interp.Value) error {
-	if x.Kind != interp.ValInt {
-		return fmt.Errorf("%s: expected int, got %s", op, x)
-	}
-	return fmt.Errorf("%s: expected int, got %s", op, y)
-}
-
-func kindErrF(op string, x, y interp.Value) error {
-	if x.Kind != interp.ValFloat {
-		return fmt.Errorf("%s: expected float, got %s", op, x)
-	}
-	return fmt.Errorf("%s: expected float, got %s", op, y)
-}
-
-// opName names a bytecode opcode for diagnostics.
-func opName(op uint8) string {
-	names := map[uint8]string{
-		bcMul: "mul", bcDiv: "div", bcRem: "rem", bcAnd: "and", bcOr: "or",
-		bcXor: "xor", bcShl: "shl", bcShr: "shr", bcCmpEQ: "cmpeq",
-		bcCmpNE: "cmpne", bcCmpLT: "cmplt", bcCmpLE: "cmple",
-		bcCmpGT: "cmpgt", bcCmpGE: "cmpge", bcFAdd: "fadd", bcFSub: "fsub",
-		bcFMul: "fmul", bcFDiv: "fdiv", bcFCmpEQ: "fcmpeq", bcFCmpNE: "fcmpne",
-		bcFCmpLT: "fcmplt", bcFCmpLE: "fcmple", bcFCmpGT: "fcmpgt", bcFCmpGE: "fcmpge",
-	}
-	if n, ok := names[op]; ok {
-		return n
-	}
-	return fmt.Sprintf("op%d", op)
 }

@@ -300,9 +300,9 @@ func TestCompileRejects(t *testing.T) {
 	bd.Call("f", false, ir.ConstInt(1))
 	bd.Ret()
 
-	schedOnly := ir.NewModule("t")
-	bd = ir.NewBuilder(schedOnly, "main", 0)
-	bd.Emit(ir.OpMove, ir.ConstInt(1))
+	invalid := ir.NewModule("t")
+	bd = ir.NewBuilder(invalid, "main", 0)
+	bd.EmitVoid(ir.OpInvalid)
 	bd.Ret()
 
 	noTerm := ir.NewModule("t")
@@ -312,7 +312,7 @@ func TestCompileRejects(t *testing.T) {
 	for name, m := range map[string]*ir.Module{
 		"unknown callee": unknownCallee,
 		"bad arity":      badArity,
-		"scheduler op":   schedOnly,
+		"invalid opcode": invalid,
 		"no terminator":  noTerm,
 	} {
 		if _, err := bytecode.Compile(m); err == nil {

@@ -337,7 +337,7 @@ func checkAssignment(v *Recorder, f *ir.Func, asg []int, cfg *machine.Config) bo
 				}
 				continue
 			}
-			if kind := machine.KindOf(op.Opcode); cfg.Units(c, kind) == 0 {
+			if kind := op.Opcode.Info().FU; cfg.Units(c, kind) == 0 {
 				ok = false
 				if !v.add(ClassAssign, f.Name, b.ID, "op %d (%s) on cluster %d which has no %s units",
 					op.ID, op.Opcode, c, kind) {
@@ -477,7 +477,7 @@ func VerifyBlock(v *Recorder, b *ir.Block, bs *sched.BlockSchedule, asg []int, c
 	}
 	type cell struct {
 		cycle, cluster int
-		kind           machine.FUKind
+		kind           ir.FUKind
 	}
 	occupancy := map[cell]int{}
 	bus := map[int]int{}
@@ -501,10 +501,10 @@ func VerifyBlock(v *Recorder, b *ir.Block, bs *sched.BlockSchedule, asg []int, c
 				v.add(ClassAssign, fn, b.ID, "op %d (%s) issued on cluster %d, assigned to %d",
 					op.ID, op.Opcode, s.Cluster, asg[op.ID])
 			}
-			if want := machine.KindOf(op.Opcode); s.Kind != want {
+			if want := op.Opcode.Info().FU; s.Kind != want {
 				v.add(ClassAssign, fn, b.ID, "op %d (%s) issued as %s, is %s", op.ID, op.Opcode, s.Kind, want)
 			}
-			if want := machine.Latency(op.Opcode); s.Lat != want {
+			if want := op.Opcode.Info().Latency; s.Lat != want {
 				v.add(ClassReady, fn, b.ID, "op %d (%s) scheduled with latency %d, machine says %d",
 					op.ID, op.Opcode, s.Lat, want)
 			}

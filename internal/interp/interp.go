@@ -1,11 +1,13 @@
-// Package interp executes IR modules. It serves two roles in the pipeline:
-// it is the profiler that supplies the data partitioner with dynamic block
-// frequencies, per-operation object access counts, and heap allocation
-// sizes; and it is the correctness oracle the test suite uses to validate
-// the front end and the points-to analysis.
+// Package interp defines the runtime values and profile that program
+// execution produces, Apply, the one arithmetic path both execution
+// engines share, and a tree-walking interpreter. The bytecode VM
+// (internal/bytecode) is the production profiler; the tree walker is the
+// reference the test suite checks it, the front end and the points-to
+// analysis against.
 package interp
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -375,95 +377,70 @@ func (in *Interp) eval(op *ir.Op, a []Value) (Value, error) {
 		}
 		*w = a[1]
 		return Value{}, nil
-	case ir.OpAdd:
-		// Pointer arithmetic: ptr + int in either order.
-		if a[0].Kind == ValPtr && a[1].Kind == ValInt {
-			return Value{Kind: ValPtr, Inst: a[0].Inst, Off: a[0].Off + a[1].I}, nil
-		}
-		if a[1].Kind == ValPtr && a[0].Kind == ValInt {
-			return Value{Kind: ValPtr, Inst: a[1].Inst, Off: a[1].Off + a[0].I}, nil
-		}
-	case ir.OpSub:
-		if a[0].Kind == ValPtr && a[1].Kind == ValInt {
-			return Value{Kind: ValPtr, Inst: a[0].Inst, Off: a[0].Off - a[1].I}, nil
-		}
-		if a[0].Kind == ValPtr && a[1].Kind == ValPtr {
-			if a[0].Inst != a[1].Inst {
-				return Value{}, fmt.Errorf("subtraction of pointers into different objects")
-			}
-			return IntVal(a[0].Off - a[1].Off), nil
-		}
-	case ir.OpCmpEQ, ir.OpCmpNE:
-		if a[0].Kind == ValPtr || a[1].Kind == ValPtr {
-			eq := a[0].Kind == ValPtr && a[1].Kind == ValPtr &&
-				a[0].Inst == a[1].Inst && a[0].Off == a[1].Off
-			if op.Opcode == ir.OpCmpNE {
-				eq = !eq
-			}
-			return boolVal(eq), nil
-		}
 	}
-	// Pure integer ops.
-	switch op.Opcode {
-	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem, ir.OpAnd, ir.OpOr,
-		ir.OpXor, ir.OpShl, ir.OpShr,
-		ir.OpCmpEQ, ir.OpCmpNE, ir.OpCmpLT, ir.OpCmpLE, ir.OpCmpGT, ir.OpCmpGE:
-		x, err := wantInt(a[0])
-		if err != nil {
-			return Value{}, err
-		}
-		y, err := wantInt(a[1])
-		if err != nil {
-			return Value{}, err
-		}
-		return intBinary(op.Opcode, x, y)
-	case ir.OpNeg:
-		x, err := wantInt(a[0])
-		if err != nil {
-			return Value{}, err
-		}
-		return IntVal(-x), nil
-	case ir.OpNot:
-		x, err := wantInt(a[0])
-		if err != nil {
-			return Value{}, err
-		}
-		return IntVal(^x), nil
-	case ir.OpIToF:
-		x, err := wantInt(a[0])
-		if err != nil {
-			return Value{}, err
-		}
-		return FloatVal(float64(x)), nil
+	var v, y Value
+	if len(a) > 1 {
+		y = a[1]
 	}
-	// Float ops.
-	switch op.Opcode {
-	case ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv,
-		ir.OpFCmpEQ, ir.OpFCmpNE, ir.OpFCmpLT, ir.OpFCmpLE, ir.OpFCmpGT, ir.OpFCmpGE:
-		x, err := wantFloat(a[0])
-		if err != nil {
-			return Value{}, err
-		}
-		y, err := wantFloat(a[1])
-		if err != nil {
-			return Value{}, err
-		}
-		return floatBinary(op.Opcode, x, y)
-	case ir.OpFNeg:
-		x, err := wantFloat(a[0])
-		if err != nil {
-			return Value{}, err
-		}
-		return FloatVal(-x), nil
-	case ir.OpFToI:
-		x, err := wantFloat(a[0])
-		if err != nil {
-			return Value{}, err
-		}
-		return IntVal(int64(x)), nil
-	}
-	return Value{}, fmt.Errorf("unhandled opcode %s", op.Opcode)
+	return v, Apply(op.Opcode, &v, &a[0], &y)
 }
+
+// Apply evaluates a pure opcode on runtime values into *dst, which may
+// alias x or y; both the tree walker and the bytecode VM execute
+// arithmetic through it. It accepts the pointer forms of add, sub, cmpeq
+// and cmpne, checks every other operand against the kind the opcode table
+// declares, and evaluates through the table. Unary opcodes ignore y.
+func Apply(opc ir.Opcode, dst, x, y *Value) error {
+	info := opc.Info()
+	want := valKind[info.Type]
+	if x.Kind != want || y.Kind != want && info.MinArgs == 2 {
+		return applyMixed(opc, info, dst, x, y)
+	}
+	r, ok := info.Eval(ir.Operand{Int: x.I, Float: x.F}, ir.Operand{Int: y.I, Float: y.F})
+	if !ok {
+		return errors.New(info.Trap)
+	}
+	*dst = Value{Kind: valKind[r.Kind], I: r.Int, F: r.Float}
+	return nil
+}
+
+// valKind maps the operand kind an opcode reads to its runtime value
+// kind; opcodes without arithmetic read no kind any value has.
+var valKind = [...]ValKind{ir.OperReg: -1, ir.OperInt: ValInt, ir.OperFloat: ValFloat}
+
+// applyMixed handles operands of another kind than the opcode reads:
+// the pointer forms of add (ptr + int in either order), sub (ptr - int,
+// ptr - ptr within one object) and cmpeq/cmpne (identity), and otherwise
+// the kind error.
+func applyMixed(opc ir.Opcode, info *ir.OpInfo, dst, x, y *Value) error {
+	switch {
+	case opc == ir.OpAdd && x.Kind == ValPtr && y.Kind == ValInt:
+		*dst = Value{Kind: ValPtr, Inst: x.Inst, Off: x.Off + y.I}
+	case opc == ir.OpAdd && y.Kind == ValPtr && x.Kind == ValInt:
+		*dst = Value{Kind: ValPtr, Inst: y.Inst, Off: y.Off + x.I}
+	case opc == ir.OpSub && x.Kind == ValPtr && y.Kind == ValInt:
+		*dst = Value{Kind: ValPtr, Inst: x.Inst, Off: x.Off - y.I}
+	case opc == ir.OpSub && x.Kind == ValPtr && y.Kind == ValPtr:
+		if x.Inst != y.Inst {
+			return fmt.Errorf("subtraction of pointers into different objects")
+		}
+		*dst = IntVal(x.Off - y.Off)
+	case (opc == ir.OpCmpEQ || opc == ir.OpCmpNE) && (x.Kind == ValPtr || y.Kind == ValPtr):
+		eq := x.Kind == ValPtr && y.Kind == ValPtr && x.Inst == y.Inst && x.Off == y.Off
+		*dst = boolVal(eq == (opc == ir.OpCmpEQ))
+	case info.Eval == nil:
+		return fmt.Errorf("unhandled opcode %s", opc)
+	default:
+		bad, want := x, valKind[info.Type]
+		if x.Kind == want {
+			bad = y
+		}
+		return fmt.Errorf("%s: expected %s, got %s", opc, kindNames[want], *bad)
+	}
+	return nil
+}
+
+var kindNames = [...]string{ValInt: "int", ValFloat: "float"}
 
 func (in *Interp) deref(p Value) (*Value, error) {
 	if p.Kind != ValPtr || p.Inst == nil {
@@ -480,93 +457,9 @@ func (in *Interp) deref(p Value) (*Value, error) {
 	return &p.Inst.Words[idx], nil
 }
 
-func wantInt(v Value) (int64, error) {
-	if v.Kind != ValInt {
-		return 0, fmt.Errorf("expected int, got %s", v)
-	}
-	return v.I, nil
-}
-
-func wantFloat(v Value) (float64, error) {
-	if v.Kind != ValFloat {
-		return 0, fmt.Errorf("expected float, got %s", v)
-	}
-	return v.F, nil
-}
-
 func boolVal(b bool) Value {
 	if b {
 		return IntVal(1)
 	}
 	return IntVal(0)
-}
-
-func intBinary(opc ir.Opcode, x, y int64) (Value, error) {
-	switch opc {
-	case ir.OpAdd:
-		return IntVal(x + y), nil
-	case ir.OpSub:
-		return IntVal(x - y), nil
-	case ir.OpMul:
-		return IntVal(x * y), nil
-	case ir.OpDiv:
-		if y == 0 {
-			return Value{}, fmt.Errorf("division by zero")
-		}
-		return IntVal(x / y), nil
-	case ir.OpRem:
-		if y == 0 {
-			return Value{}, fmt.Errorf("remainder by zero")
-		}
-		return IntVal(x % y), nil
-	case ir.OpAnd:
-		return IntVal(x & y), nil
-	case ir.OpOr:
-		return IntVal(x | y), nil
-	case ir.OpXor:
-		return IntVal(x ^ y), nil
-	case ir.OpShl:
-		return IntVal(x << (uint64(y) & 63)), nil
-	case ir.OpShr:
-		return IntVal(x >> (uint64(y) & 63)), nil
-	case ir.OpCmpEQ:
-		return boolVal(x == y), nil
-	case ir.OpCmpNE:
-		return boolVal(x != y), nil
-	case ir.OpCmpLT:
-		return boolVal(x < y), nil
-	case ir.OpCmpLE:
-		return boolVal(x <= y), nil
-	case ir.OpCmpGT:
-		return boolVal(x > y), nil
-	case ir.OpCmpGE:
-		return boolVal(x >= y), nil
-	}
-	return Value{}, fmt.Errorf("bad int opcode %s", opc)
-}
-
-func floatBinary(opc ir.Opcode, x, y float64) (Value, error) {
-	switch opc {
-	case ir.OpFAdd:
-		return FloatVal(x + y), nil
-	case ir.OpFSub:
-		return FloatVal(x - y), nil
-	case ir.OpFMul:
-		return FloatVal(x * y), nil
-	case ir.OpFDiv:
-		return FloatVal(x / y), nil
-	case ir.OpFCmpEQ:
-		return boolVal(x == y), nil
-	case ir.OpFCmpNE:
-		return boolVal(x != y), nil
-	case ir.OpFCmpLT:
-		return boolVal(x < y), nil
-	case ir.OpFCmpLE:
-		return boolVal(x <= y), nil
-	case ir.OpFCmpGT:
-		return boolVal(x > y), nil
-	case ir.OpFCmpGE:
-		return boolVal(x >= y), nil
-	}
-	return Value{}, fmt.Errorf("bad float opcode %s", opc)
 }

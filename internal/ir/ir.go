@@ -23,152 +23,6 @@ type VReg int
 // NoReg marks the absence of a destination register.
 const NoReg VReg = -1
 
-// Opcode enumerates every operation kind in the IR.
-type Opcode int
-
-// The opcode space. Integer arithmetic operates on 64-bit two's-complement
-// values; float arithmetic on IEEE-754 float64.
-const (
-	OpInvalid Opcode = iota
-
-	// Integer arithmetic and logic.
-	OpAdd
-	OpSub
-	OpMul
-	OpDiv
-	OpRem
-	OpAnd
-	OpOr
-	OpXor
-	OpShl
-	OpShr
-	OpNeg
-	OpNot
-
-	// Integer comparisons; result is 0 or 1.
-	OpCmpEQ
-	OpCmpNE
-	OpCmpLT
-	OpCmpLE
-	OpCmpGT
-	OpCmpGE
-
-	// Floating-point arithmetic.
-	OpFAdd
-	OpFSub
-	OpFMul
-	OpFDiv
-	OpFNeg
-
-	// Floating-point comparisons; result is integer 0 or 1.
-	OpFCmpEQ
-	OpFCmpNE
-	OpFCmpLT
-	OpFCmpLE
-	OpFCmpGT
-	OpFCmpGE
-
-	// Conversions.
-	OpIToF
-	OpFToI
-
-	// Register copy.
-	OpMov
-
-	// Memory.
-	OpAddr   // dst = address of the global object in Obj
-	OpMalloc // dst = pointer to fresh heap storage of Args[0] bytes; site id in MallocSite
-	OpLoad   // dst = memory word at address Args[0]
-	OpStore  // memory word at address Args[0] = Args[1]
-
-	// Control.
-	OpBr     // unconditional branch to Block.Succs[0]
-	OpBrCond // if Args[0] != 0 branch to Succs[0] else Succs[1]
-	OpCall   // dst (optional) = call Callee(Args...)
-	OpRet    // return Args[0] if present
-
-	// OpMove is the explicit intercluster move pseudo-operation. It never
-	// appears in front-end IR; the scheduler materializes it when a value
-	// crosses clusters.
-	OpMove
-
-	numOpcodes
-)
-
-var opcodeNames = [...]string{
-	OpInvalid: "invalid",
-	OpAdd:     "add", OpSub: "sub", OpMul: "mul", OpDiv: "div", OpRem: "rem",
-	OpAnd: "and", OpOr: "or", OpXor: "xor", OpShl: "shl", OpShr: "shr",
-	OpNeg: "neg", OpNot: "not",
-	OpCmpEQ: "cmpeq", OpCmpNE: "cmpne", OpCmpLT: "cmplt",
-	OpCmpLE: "cmple", OpCmpGT: "cmpgt", OpCmpGE: "cmpge",
-	OpFAdd: "fadd", OpFSub: "fsub", OpFMul: "fmul", OpFDiv: "fdiv", OpFNeg: "fneg",
-	OpFCmpEQ: "fcmpeq", OpFCmpNE: "fcmpne", OpFCmpLT: "fcmplt",
-	OpFCmpLE: "fcmple", OpFCmpGT: "fcmpgt", OpFCmpGE: "fcmpge",
-	OpIToF: "itof", OpFToI: "ftoi",
-	OpMov:  "mov",
-	OpAddr: "addr", OpMalloc: "malloc", OpLoad: "load", OpStore: "store",
-	OpBr: "br", OpBrCond: "brcond", OpCall: "call", OpRet: "ret",
-	OpMove: "move",
-}
-
-// String returns the assembler mnemonic of the opcode.
-func (o Opcode) String() string {
-	if o < 0 || int(o) >= len(opcodeNames) {
-		return fmt.Sprintf("opcode(%d)", int(o))
-	}
-	return opcodeNames[o]
-}
-
-// IsMem reports whether the opcode accesses data memory.
-func (o Opcode) IsMem() bool {
-	switch o {
-	case OpLoad, OpStore, OpMalloc:
-		return true
-	}
-	return false
-}
-
-// IsBranch reports whether the opcode transfers control.
-func (o Opcode) IsBranch() bool {
-	switch o {
-	case OpBr, OpBrCond, OpCall, OpRet:
-		return true
-	}
-	return false
-}
-
-// IsTerminator reports whether the opcode must end a basic block.
-func (o Opcode) IsTerminator() bool {
-	switch o {
-	case OpBr, OpBrCond, OpRet:
-		return true
-	}
-	return false
-}
-
-// IsFloat reports whether the opcode executes on a floating-point unit.
-func (o Opcode) IsFloat() bool {
-	switch o {
-	case OpFAdd, OpFSub, OpFMul, OpFDiv, OpFNeg,
-		OpFCmpEQ, OpFCmpNE, OpFCmpLT, OpFCmpLE, OpFCmpGT, OpFCmpGE,
-		OpIToF, OpFToI:
-		return true
-	}
-	return false
-}
-
-// HasDst reports whether operations with this opcode define a register.
-func (o Opcode) HasDst() bool {
-	switch o {
-	case OpStore, OpBr, OpBrCond, OpRet, OpInvalid:
-		return false
-	case OpCall:
-		return true // optional; NoReg allowed
-	}
-	return true
-}
-
 // OperandKind discriminates Operand payloads.
 type OperandKind int
 

@@ -101,15 +101,80 @@ func TestVerifyCatchesUnknownCall(t *testing.T) {
 	}
 }
 
-func TestVerifyCatchesArityMismatch(t *testing.T) {
-	m := NewModule("bad")
-	g := NewBuilder(m, "g", 2)
-	g.Ret(ConstInt(0))
-	bd := NewBuilder(m, "f", 0)
-	bd.Call("g", false, ConstInt(1)) // g wants 2 args
+// arityModule builds a verified module whose function f uses one op of
+// every operand shape.
+func arityModule(t *testing.T) *Module {
+	t.Helper()
+	m := NewModule("arity")
+	g := m.AddObject(&Object{Name: "g", Kind: ObjGlobal, Size: 8})
+	h := m.AddObject(&Object{Name: "h", Kind: ObjHeap})
+	callee := NewBuilder(m, "g", 2)
+	callee.Ret(ConstInt(0))
+	bd := NewBuilder(m, "f", 1)
+	v := Reg(0)
+	bd.Emit(OpAdd, v, v)
+	bd.Emit(OpFCmpLT, v, v)
+	bd.Emit(OpNeg, v)
+	bd.Emit(OpFToI, v)
+	bd.Emit(OpMov, v)
+	p := Reg(bd.Addr(g))
+	bd.Malloc(h, ConstInt(8))
+	bd.Load(p)
+	bd.Store(p, v)
+	bd.Call("g", false, v, v)
+	then, els, join := bd.NewBlock(), bd.NewBlock(), bd.NewBlock()
+	bd.BrCond(v, then, els)
+	bd.SetBlock(then)
+	bd.Br(join)
+	bd.SetBlock(els)
+	bd.Ret(v)
+	bd.SetBlock(join)
 	bd.Ret()
-	if err := Verify(m); err == nil {
-		t.Fatal("Verify accepted call arity mismatch")
+	if err := Verify(m); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	return m
+}
+
+// TestVerifyCatchesArityMismatch gives one op of each operand shape a
+// wrong operand count; Verify reads the arity from the opcode table.
+func TestVerifyCatchesArityMismatch(t *testing.T) {
+	v := Reg(0)
+	cases := []struct {
+		op   Opcode
+		args []Operand
+		want string
+	}{
+		{OpAdd, []Operand{v}, "add needs 2 args"},
+		{OpFCmpLT, []Operand{v, v, v}, "fcmplt needs 2 args"},
+		{OpNeg, []Operand{v, v}, "neg needs 1 arg"},
+		{OpFToI, nil, "ftoi needs 1 arg"},
+		{OpMov, nil, "mov needs 1 arg"},
+		{OpAddr, []Operand{v}, "addr needs 0 args"},
+		{OpMalloc, nil, "malloc needs 1 arg"},
+		{OpLoad, []Operand{v, v}, "load needs 1 arg"},
+		{OpStore, []Operand{v}, "store needs 2 args"},
+		{OpCall, []Operand{v}, "call g: 1 args, want 2"},
+		{OpBrCond, nil, "brcond needs 1 arg"},
+		{OpBr, []Operand{v}, "br needs 0 args"},
+		{OpRet, []Operand{v, v}, "ret takes at most 1 arg"},
+	}
+	for _, c := range cases {
+		t.Run(c.op.String(), func(t *testing.T) {
+			m := arityModule(t)
+			var target *Op
+			for _, b := range m.Func("f").Blocks {
+				for _, op := range b.Ops {
+					if op.Opcode == c.op && target == nil {
+						target = op
+					}
+				}
+			}
+			target.Args = c.args
+			if err := Verify(m); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Verify = %v, want error containing %q", err, c.want)
+			}
+		})
 	}
 }
 

@@ -340,7 +340,7 @@ func parseOperand(tok string) (Operand, error) {
 
 func opcodeByName(name string) (Opcode, bool) {
 	for o := Opcode(1); o < numOpcodes; o++ {
-		if opcodeNames[o] == name {
+		if opTable[o].Name == name {
 			return o, true
 		}
 	}

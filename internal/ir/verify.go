@@ -92,6 +92,13 @@ func verifyFunc(m *Module, f *Func) error {
 }
 
 func verifyOpShape(m *Module, op *Op) error {
+	info := op.Opcode.Info()
+	if n := len(op.Args); n < info.MinArgs || info.MaxArgs >= 0 && n > info.MaxArgs {
+		if info.MinArgs == info.MaxArgs {
+			return fmt.Errorf("%s needs %d %s", op.Opcode, info.MinArgs, plural(info.MinArgs, "arg"))
+		}
+		return fmt.Errorf("%s takes at most %d %s", op.Opcode, info.MaxArgs, plural(info.MaxArgs, "arg"))
+	}
 	switch op.Opcode {
 	case OpAddr:
 		if op.Obj == nil {
@@ -107,17 +114,6 @@ func verifyOpShape(m *Module, op *Op) error {
 		if op.MallocSite.Kind != ObjHeap {
 			return fmt.Errorf("malloc site %q is not a heap object", op.MallocSite.Name)
 		}
-		if len(op.Args) != 1 {
-			return fmt.Errorf("malloc needs 1 arg")
-		}
-	case OpLoad:
-		if len(op.Args) != 1 {
-			return fmt.Errorf("load needs 1 arg")
-		}
-	case OpStore:
-		if len(op.Args) != 2 {
-			return fmt.Errorf("store needs 2 args")
-		}
 	case OpCall:
 		if m.Func(op.Callee) == nil {
 			return fmt.Errorf("call of unknown function %q", op.Callee)
@@ -125,27 +121,15 @@ func verifyOpShape(m *Module, op *Op) error {
 		if got, want := len(op.Args), m.Func(op.Callee).NParams; got != want {
 			return fmt.Errorf("call %s: %d args, want %d", op.Callee, got, want)
 		}
-	case OpBrCond:
-		if len(op.Args) != 1 {
-			return fmt.Errorf("brcond needs 1 arg")
-		}
-	case OpRet:
-		if len(op.Args) > 1 {
-			return fmt.Errorf("ret takes at most 1 arg")
-		}
-	case OpNeg, OpNot, OpFNeg, OpIToF, OpFToI, OpMov:
-		if len(op.Args) != 1 {
-			return fmt.Errorf("%s needs 1 arg", op.Opcode)
-		}
-	case OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor, OpShl, OpShr,
-		OpCmpEQ, OpCmpNE, OpCmpLT, OpCmpLE, OpCmpGT, OpCmpGE,
-		OpFAdd, OpFSub, OpFMul, OpFDiv,
-		OpFCmpEQ, OpFCmpNE, OpFCmpLT, OpFCmpLE, OpFCmpGT, OpFCmpGE:
-		if len(op.Args) != 2 {
-			return fmt.Errorf("%s needs 2 args", op.Opcode)
-		}
 	}
 	return nil
+}
+
+func plural(n int, word string) string {
+	if n == 1 {
+		return word
+	}
+	return word + "s"
 }
 
 func contains(bs []*Block, b *Block) bool {

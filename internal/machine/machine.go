@@ -1,10 +1,12 @@
 // Package machine describes the multicluster VLIW targets the partitioners
-// compile for: per-cluster function units and register files, operation
-// latencies, and the intercluster communication network (fixed bandwidth,
-// configurable move latency), matching the machine model of the paper's
-// §4.1 (2-cluster VLIW, 2 integer / 1 float / 1 memory / 1 branch unit per
-// cluster, Itanium-like latencies, 1 intercluster move per cycle with a
-// latency of 1, 5, or 10 cycles).
+// compile for: per-cluster function units and register files and the
+// intercluster communication network (fixed bandwidth, configurable move
+// latency), matching the machine model of the paper's §4.1 (2-cluster
+// VLIW, 2 integer / 1 float / 1 memory / 1 branch unit per cluster,
+// 1 intercluster move per cycle with a latency of 1, 5, or 10 cycles).
+// The per-opcode half of the description — the Itanium-like operation
+// latencies and the function-unit kind of each op — is the ir opcode
+// table.
 package machine
 
 import (
@@ -14,74 +16,9 @@ import (
 	"mcpart/internal/ir"
 )
 
-// FUKind is a function-unit class.
-type FUKind int
-
-// Function-unit classes.
-const (
-	FUInt FUKind = iota
-	FUFloat
-	FUMem
-	FUBranch
-	NumFUKinds
-)
-
-func (k FUKind) String() string {
-	switch k {
-	case FUInt:
-		return "I"
-	case FUFloat:
-		return "F"
-	case FUMem:
-		return "M"
-	case FUBranch:
-		return "B"
-	}
-	return "?"
-}
-
-// KindOf maps an opcode to the function-unit class that executes it.
-// Intercluster moves (ir.OpMove) issue on the integer unit of the sending
-// cluster and additionally occupy the intercluster bus.
-func KindOf(op ir.Opcode) FUKind {
-	switch {
-	case op.IsFloat():
-		return FUFloat
-	case op.IsMem():
-		return FUMem
-	case op.IsBranch():
-		return FUBranch
-	default:
-		return FUInt
-	}
-}
-
-// Latency returns the cycles from issue of an op until its result is
-// available. The values mirror Itanium-class latencies, as in the paper.
-func Latency(op ir.Opcode) int {
-	switch op {
-	case ir.OpMul:
-		return 3
-	case ir.OpDiv, ir.OpRem:
-		return 8
-	case ir.OpLoad, ir.OpMalloc:
-		return 2
-	case ir.OpStore:
-		return 1
-	case ir.OpFAdd, ir.OpFSub, ir.OpFMul,
-		ir.OpFCmpEQ, ir.OpFCmpNE, ir.OpFCmpLT, ir.OpFCmpLE, ir.OpFCmpGT, ir.OpFCmpGE,
-		ir.OpIToF, ir.OpFToI, ir.OpFNeg:
-		return 4
-	case ir.OpFDiv:
-		return 12
-	default:
-		return 1
-	}
-}
-
 // Cluster describes one cluster's function units and local data memory.
 type Cluster struct {
-	Units [NumFUKinds]int
+	Units [ir.NumFUKinds]int
 	// MemBytes is the cluster's scratchpad capacity in bytes; 0 means
 	// "unspecified" (the data partitioner then targets equal shares).
 	MemBytes int64
@@ -237,10 +174,10 @@ func (c *Config) LatencyTable() [][]int {
 func (c *Config) NumClusters() int { return len(c.Clusters) }
 
 // Units returns the number of units of the given kind on cluster ci.
-func (c *Config) Units(ci int, k FUKind) int { return c.Clusters[ci].Units[k] }
+func (c *Config) Units(ci int, k ir.FUKind) int { return c.Clusters[ci].Units[k] }
 
 // TotalUnits returns the machine-wide unit count of kind k.
-func (c *Config) TotalUnits(k FUKind) int {
+func (c *Config) TotalUnits(k ir.FUKind) int {
 	n := 0
 	for _, cl := range c.Clusters {
 		n += cl.Units[k]
@@ -286,19 +223,19 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("machine %q: move bandwidth %d < 1", c.Name, c.MoveBandwidth)
 	}
 	for i, cl := range c.Clusters {
-		for k := FUKind(0); k < NumFUKinds; k++ {
+		for k := ir.FUKind(0); k < ir.NumFUKinds; k++ {
 			if cl.Units[k] < 0 {
 				return fmt.Errorf("machine %q: cluster %d has %d units of %s",
 					c.Name, i, cl.Units[k], k)
 			}
 		}
-		if cl.Units[FUMem] == 0 {
+		if cl.Units[ir.FUMem] == 0 {
 			return fmt.Errorf("machine %q: cluster %d has no memory unit", c.Name, i)
 		}
 	}
-	if len(c.Clusters) > 1 && c.MoveBandwidth > c.TotalUnits(FUInt) {
+	if len(c.Clusters) > 1 && c.MoveBandwidth > c.TotalUnits(ir.FUInt) {
 		return fmt.Errorf("machine %q: bandwidth %d > %d integer units: %w",
-			c.Name, c.MoveBandwidth, c.TotalUnits(FUInt), ErrBandwidth)
+			c.Name, c.MoveBandwidth, c.TotalUnits(ir.FUInt), ErrBandwidth)
 	}
 	switch c.Topology {
 	case TopologyRing:
@@ -416,10 +353,10 @@ func (c *Config) CacheKey() string {
 // paperCluster is the per-cluster resource mix from the paper's §4.1.
 func paperCluster() Cluster {
 	var cl Cluster
-	cl.Units[FUInt] = 2
-	cl.Units[FUFloat] = 1
-	cl.Units[FUMem] = 1
-	cl.Units[FUBranch] = 1
+	cl.Units[ir.FUInt] = 2
+	cl.Units[ir.FUFloat] = 1
+	cl.Units[ir.FUMem] = 1
+	cl.Units[ir.FUBranch] = 1
 	return cl
 }
 
@@ -449,9 +386,9 @@ func FourCluster(moveLatency int) *Config {
 // the integer bandwidth of cluster 1 (the imbalance example from §2).
 func Heterogeneous2(moveLatency int) *Config {
 	big := paperCluster()
-	big.Units[FUInt] = 4
+	big.Units[ir.FUInt] = 4
 	small := paperCluster()
-	small.Units[FUInt] = 2
+	small.Units[ir.FUInt] = 2
 	return &Config{
 		Name:          fmt.Sprintf("hetero-2c-lat%d", moveLatency),
 		Clusters:      []Cluster{big, small},
@@ -658,7 +595,7 @@ func WithMemCapacities(cfg *Config, bytes ...int64) (*Config, error) {
 // with no intercluster communication at all.
 func Unified1Cluster(n int) *Config {
 	cl := paperCluster()
-	for k := FUKind(0); k < NumFUKinds; k++ {
+	for k := ir.FUKind(0); k < ir.NumFUKinds; k++ {
 		cl.Units[k] *= n
 	}
 	return &Config{

@@ -15,16 +15,16 @@ func TestPaper2Cluster(t *testing.T) {
 		t.Fatalf("clusters = %d", cfg.NumClusters())
 	}
 	for c := 0; c < 2; c++ {
-		if cfg.Units(c, FUInt) != 2 || cfg.Units(c, FUFloat) != 1 ||
-			cfg.Units(c, FUMem) != 1 || cfg.Units(c, FUBranch) != 1 {
+		if cfg.Units(c, ir.FUInt) != 2 || cfg.Units(c, ir.FUFloat) != 1 ||
+			cfg.Units(c, ir.FUMem) != 1 || cfg.Units(c, ir.FUBranch) != 1 {
 			t.Errorf("cluster %d units wrong: %+v", c, cfg.Clusters[c])
 		}
 	}
 	if cfg.MoveLatency != 5 || cfg.MoveBandwidth != 1 {
 		t.Errorf("network wrong: lat=%d bw=%d", cfg.MoveLatency, cfg.MoveBandwidth)
 	}
-	if cfg.TotalUnits(FUInt) != 4 {
-		t.Errorf("TotalUnits(Int) = %d", cfg.TotalUnits(FUInt))
+	if cfg.TotalUnits(ir.FUInt) != 4 {
+		t.Errorf("TotalUnits(Int) = %d", cfg.TotalUnits(ir.FUInt))
 	}
 }
 
@@ -41,7 +41,7 @@ func TestPresetsValidate(t *testing.T) {
 		t.Error("FourCluster has wrong cluster count")
 	}
 	h := Heterogeneous2(5)
-	if h.Units(0, FUInt) != 2*h.Units(1, FUInt) {
+	if h.Units(0, ir.FUInt) != 2*h.Units(1, ir.FUInt) {
 		t.Error("Heterogeneous2 cluster 0 should have 2x integer units")
 	}
 }
@@ -58,7 +58,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		t.Error("accepted zero bandwidth")
 	}
 	bad = Paper2Cluster(5)
-	bad.Clusters[1].Units[FUMem] = 0
+	bad.Clusters[1].Units[ir.FUMem] = 0
 	if bad.Validate() == nil {
 		t.Error("accepted cluster without memory unit")
 	}
@@ -68,36 +68,35 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 }
 
 func TestKindOfCoversAllOpcodes(t *testing.T) {
-	cases := map[ir.Opcode]FUKind{
-		ir.OpAdd: FUInt, ir.OpMul: FUInt, ir.OpMov: FUInt, ir.OpAddr: FUInt,
-		ir.OpFAdd: FUFloat, ir.OpIToF: FUFloat,
-		ir.OpLoad: FUMem, ir.OpStore: FUMem, ir.OpMalloc: FUMem,
-		ir.OpBr: FUBranch, ir.OpCall: FUBranch, ir.OpRet: FUBranch,
-		ir.OpMove: FUInt,
+	cases := map[ir.Opcode]ir.FUKind{
+		ir.OpAdd: ir.FUInt, ir.OpMul: ir.FUInt, ir.OpMov: ir.FUInt, ir.OpAddr: ir.FUInt,
+		ir.OpFAdd: ir.FUFloat, ir.OpIToF: ir.FUFloat,
+		ir.OpLoad: ir.FUMem, ir.OpStore: ir.FUMem, ir.OpMalloc: ir.FUMem,
+		ir.OpBr: ir.FUBranch, ir.OpCall: ir.FUBranch, ir.OpRet: ir.FUBranch,
 	}
 	for op, want := range cases {
-		if got := KindOf(op); got != want {
-			t.Errorf("KindOf(%s) = %s, want %s", op, got, want)
+		if got := op.Info().FU; got != want {
+			t.Errorf("FU(%s) = %s, want %s", op, got, want)
 		}
 	}
 }
 
 func TestLatenciesItaniumLike(t *testing.T) {
-	if Latency(ir.OpAdd) != 1 {
+	if ir.OpAdd.Info().Latency != 1 {
 		t.Error("int add should be 1 cycle")
 	}
-	if Latency(ir.OpLoad) != 2 {
+	if ir.OpLoad.Info().Latency != 2 {
 		t.Error("load should be 2 cycles (the paper's unified access latency)")
 	}
-	if Latency(ir.OpMul) <= Latency(ir.OpAdd) {
+	if ir.OpMul.Info().Latency <= ir.OpAdd.Info().Latency {
 		t.Error("mul should be slower than add")
 	}
-	if Latency(ir.OpFDiv) <= Latency(ir.OpFMul) {
+	if ir.OpFDiv.Info().Latency <= ir.OpFMul.Info().Latency {
 		t.Error("fdiv should be slower than fmul")
 	}
-	for op := ir.OpAdd; op <= ir.OpMove; op++ {
-		if Latency(op) < 1 {
-			t.Errorf("latency(%s) = %d < 1", op, Latency(op))
+	for op := ir.OpAdd; op <= ir.OpRet; op++ {
+		if op.Info().Latency < 1 {
+			t.Errorf("latency(%s) = %d < 1", op, op.Info().Latency)
 		}
 	}
 }
@@ -135,13 +134,13 @@ func TestMemCapacitiesLocal(t *testing.T) {
 }
 
 func TestFUKindStrings(t *testing.T) {
-	want := map[FUKind]string{FUInt: "I", FUFloat: "F", FUMem: "M", FUBranch: "B"}
+	want := map[ir.FUKind]string{ir.FUInt: "I", ir.FUFloat: "F", ir.FUMem: "M", ir.FUBranch: "B"}
 	for k, w := range want {
 		if k.String() != w {
 			t.Errorf("%d.String() = %q, want %q", k, k.String(), w)
 		}
 	}
-	if NumFUKinds.String() != "?" {
+	if ir.NumFUKinds.String() != "?" {
 		t.Error("out-of-range kind should render '?'")
 	}
 }

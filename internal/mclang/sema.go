@@ -1,6 +1,10 @@
 package mclang
 
-import "fmt"
+import (
+	"fmt"
+
+	"mcpart/internal/ir"
+)
 
 // SymKind says what an identifier resolved to.
 type SymKind int
@@ -104,80 +108,67 @@ func foldGlobalInit(g *GlobalDecl) error {
 			g.Name, len(g.InitExprs), g.Count)
 	}
 	for _, e := range g.InitExprs {
-		iv, fv, isF, err := constEval(e)
+		v, err := constEval(e)
 		if err != nil {
 			return err
 		}
 		if g.Elem.Kind == TypeFloat {
-			if !isF {
-				fv = float64(iv)
+			if v.Kind != ir.OperFloat {
+				v.Float = float64(v.Int)
 			}
-			g.InitFlts = append(g.InitFlts, fv)
+			g.InitFlts = append(g.InitFlts, v.Float)
 		} else {
-			if isF {
+			if v.Kind == ir.OperFloat {
 				return errf(e.Position(), "global %q: float initializer for int element", g.Name)
 			}
-			g.InitInts = append(g.InitInts, iv)
+			g.InitInts = append(g.InitInts, v.Int)
 		}
 	}
 	return nil
 }
 
 // constEval evaluates a constant expression (literals, unary minus, and the
-// four arithmetic operators over constants).
-func constEval(e Expr) (int64, float64, bool, error) {
+// four arithmetic operators over constants) through the opcode table.
+func constEval(e Expr) (ir.Operand, error) {
 	switch x := e.(type) {
 	case *IntLit:
-		return x.Val, 0, false, nil
+		return ir.ConstInt(x.Val), nil
 	case *FloatLit:
-		return 0, x.Val, true, nil
+		return ir.ConstFloat(x.Val), nil
 	case *UnaryExpr:
 		if x.Op != TokMinus {
-			return 0, 0, false, errf(x.Pos, "initializer must be constant")
+			return ir.Operand{}, errf(x.Pos, "initializer must be constant")
 		}
-		iv, fv, isF, err := constEval(x.X)
-		return -iv, -fv, isF, err
+		v, err := constEval(x.X)
+		v.Int, v.Float = -v.Int, -v.Float
+		return v, err
 	case *BinaryExpr:
-		li, lf, lF, err := constEval(x.L)
+		l, err := constEval(x.L)
 		if err != nil {
-			return 0, 0, false, err
+			return ir.Operand{}, err
 		}
-		ri, rf, rF, err := constEval(x.R)
+		r, err := constEval(x.R)
 		if err != nil {
-			return 0, 0, false, err
+			return ir.Operand{}, err
 		}
-		if lF != rF {
-			return 0, 0, false, errf(x.Pos, "mixed int/float constant expression")
+		if l.Kind != r.Kind {
+			return ir.Operand{}, errf(x.Pos, "mixed int/float constant expression")
 		}
-		if lF {
-			switch x.Op {
-			case TokPlus:
-				return 0, lf + rf, true, nil
-			case TokMinus:
-				return 0, lf - rf, true, nil
-			case TokStar:
-				return 0, lf * rf, true, nil
-			case TokSlash:
-				return 0, lf / rf, true, nil
+		ops := intBinOp
+		if l.Kind == ir.OperFloat {
+			ops = floatBinOp
+		}
+		switch x.Op {
+		case TokPlus, TokMinus, TokStar, TokSlash:
+			v, ok := ops[x.Op].Info().Eval(l, r)
+			if !ok {
+				return ir.Operand{}, errf(x.Pos, "constant division by zero")
 			}
-		} else {
-			switch x.Op {
-			case TokPlus:
-				return li + ri, 0, false, nil
-			case TokMinus:
-				return li - ri, 0, false, nil
-			case TokStar:
-				return li * ri, 0, false, nil
-			case TokSlash:
-				if ri == 0 {
-					return 0, 0, false, errf(x.Pos, "constant division by zero")
-				}
-				return li / ri, 0, false, nil
-			}
+			return v, nil
 		}
-		return 0, 0, false, errf(x.Pos, "operator %s not allowed in constant expression", x.Op)
+		return ir.Operand{}, errf(x.Pos, "operator %s not allowed in constant expression", x.Op)
 	}
-	return 0, 0, false, errf(e.Position(), "initializer must be constant")
+	return ir.Operand{}, errf(e.Position(), "initializer must be constant")
 }
 
 func (c *checker) push() { c.scopes = append(c.scopes, map[string]*VarDeclStmt{}) }

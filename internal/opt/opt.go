@@ -121,8 +121,7 @@ func copyPropBlock(f *ir.Func, b *ir.Block) int {
 func foldBlock(b *ir.Block) int {
 	changed := 0
 	for _, op := range b.Ops {
-		if op.Dst == ir.NoReg || op.Opcode.IsMem() || op.Opcode.IsBranch() ||
-			op.Opcode == ir.OpMov || op.Opcode == ir.OpAddr {
+		if op.Dst == ir.NoReg {
 			continue
 		}
 		v, ok := fold(op)
@@ -136,119 +135,21 @@ func foldBlock(b *ir.Block) int {
 	return changed
 }
 
-// fold evaluates a pure op over constant operands.
+// fold evaluates an op through the opcode table when every operand is a
+// constant of the kind the op reads.
 func fold(op *ir.Op) (ir.Operand, bool) {
-	args := op.Args
-	allInt := true
-	allFloat := true
-	for _, a := range args {
-		if a.Kind != ir.OperInt {
-			allInt = false
-		}
-		if a.Kind != ir.OperFloat {
-			allFloat = false
-		}
-	}
-	ci := func(v int64) (ir.Operand, bool) { return ir.ConstInt(v), true }
-	cf := func(v float64) (ir.Operand, bool) { return ir.ConstFloat(v), true }
-	cb := func(v bool) (ir.Operand, bool) {
-		if v {
-			return ir.ConstInt(1), true
-		}
-		return ir.ConstInt(0), true
-	}
-	if allInt {
-		switch len(args) {
-		case 1:
-			x := args[0].Int
-			switch op.Opcode {
-			case ir.OpNeg:
-				return ci(-x)
-			case ir.OpNot:
-				return ci(^x)
-			case ir.OpIToF:
-				return cf(float64(x))
-			}
-		case 2:
-			x, y := args[0].Int, args[1].Int
-			switch op.Opcode {
-			case ir.OpAdd:
-				return ci(x + y)
-			case ir.OpSub:
-				return ci(x - y)
-			case ir.OpMul:
-				return ci(x * y)
-			case ir.OpDiv:
-				if y != 0 {
-					return ci(x / y)
-				}
-			case ir.OpRem:
-				if y != 0 {
-					return ci(x % y)
-				}
-			case ir.OpAnd:
-				return ci(x & y)
-			case ir.OpOr:
-				return ci(x | y)
-			case ir.OpXor:
-				return ci(x ^ y)
-			case ir.OpShl:
-				return ci(x << (uint64(y) & 63))
-			case ir.OpShr:
-				return ci(x >> (uint64(y) & 63))
-			case ir.OpCmpEQ:
-				return cb(x == y)
-			case ir.OpCmpNE:
-				return cb(x != y)
-			case ir.OpCmpLT:
-				return cb(x < y)
-			case ir.OpCmpLE:
-				return cb(x <= y)
-			case ir.OpCmpGT:
-				return cb(x > y)
-			case ir.OpCmpGE:
-				return cb(x >= y)
-			}
-		}
+	info := op.Opcode.Info()
+	if info.Eval == nil || len(op.Args) != info.MinArgs {
 		return ir.Operand{}, false
 	}
-	if allFloat {
-		switch len(args) {
-		case 1:
-			x := args[0].Float
-			switch op.Opcode {
-			case ir.OpFNeg:
-				return cf(-x)
-			case ir.OpFToI:
-				return ci(int64(x))
-			}
-		case 2:
-			x, y := args[0].Float, args[1].Float
-			switch op.Opcode {
-			case ir.OpFAdd:
-				return cf(x + y)
-			case ir.OpFSub:
-				return cf(x - y)
-			case ir.OpFMul:
-				return cf(x * y)
-			case ir.OpFDiv:
-				return cf(x / y)
-			case ir.OpFCmpEQ:
-				return cb(x == y)
-			case ir.OpFCmpNE:
-				return cb(x != y)
-			case ir.OpFCmpLT:
-				return cb(x < y)
-			case ir.OpFCmpLE:
-				return cb(x <= y)
-			case ir.OpFCmpGT:
-				return cb(x > y)
-			case ir.OpFCmpGE:
-				return cb(x >= y)
-			}
+	var xy [2]ir.Operand
+	for i, a := range op.Args {
+		if a.Kind != info.Type {
+			return ir.Operand{}, false
 		}
+		xy[i] = a
 	}
-	return ir.Operand{}, false
+	return info.Eval(xy[0], xy[1])
 }
 
 // cseBlock performs block-local value numbering: a pure op identical to an
@@ -274,21 +175,11 @@ func cseBlock(f *ir.Func, b *ir.Block) int {
 		case 1:
 			k.a0 = op.Args[0]
 		}
-		switch op.Opcode {
-		case ir.OpLoad:
+		if op.Opcode == ir.OpLoad {
 			k.epoch = epoch
 			return k, true
-		case ir.OpAddr, ir.OpMov,
-			ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem,
-			ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr,
-			ir.OpNeg, ir.OpNot,
-			ir.OpCmpEQ, ir.OpCmpNE, ir.OpCmpLT, ir.OpCmpLE, ir.OpCmpGT, ir.OpCmpGE,
-			ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv, ir.OpFNeg,
-			ir.OpFCmpEQ, ir.OpFCmpNE, ir.OpFCmpLT, ir.OpFCmpLE, ir.OpFCmpGT, ir.OpFCmpGE,
-			ir.OpIToF, ir.OpFToI:
-			return k, true
 		}
-		return k, false
+		return k, op.Opcode.Info().Pure
 	}
 	// A redefinition of a register invalidates every availability entry
 	// mentioning it (operand or result).

@@ -615,7 +615,7 @@ func partitionRegion(sc *scratch, pre *regionPre, f *ir.Func, du *cfg.DefUse, op
 	for c := 0; c < k; c++ {
 		feasible := true
 		for _, op := range regionOps {
-			if mcfg.Units(c, machine.KindOf(op.Opcode)) == 0 {
+			if mcfg.Units(c, op.Opcode.Info().FU) == 0 {
 				feasible = false
 				break
 			}
@@ -772,14 +772,14 @@ func computeSlack(region *cfg.Region, du *cfg.DefUse, ops []*ir.Op, mcfg *machin
 			for argI := range op.Args {
 				for _, defID := range du.DefsOf[op.ID][argI] {
 					if ops[defID].Block == b {
-						if t := asap[defID] + int64(machine.Latency(ops[defID].Opcode)); t > start {
+						if t := asap[defID] + int64(ops[defID].Opcode.Info().Latency); t > start {
 							start = t
 						}
 					}
 				}
 			}
 			asap[op.ID] = start
-			if end := start + int64(machine.Latency(op.Opcode)); end > blockLen {
+			if end := start + int64(op.Opcode.Info().Latency); end > blockLen {
 				blockLen = end
 			}
 		}
@@ -787,10 +787,10 @@ func computeSlack(region *cfg.Region, du *cfg.DefUse, ops []*ir.Op, mcfg *machin
 		alap := map[int]int64{}
 		for i := len(b.Ops) - 1; i >= 0; i-- {
 			op := b.Ops[i]
-			latest := blockLen - int64(machine.Latency(op.Opcode))
+			latest := blockLen - int64(op.Opcode.Info().Latency)
 			for _, useID := range du.UsesOf[op.ID] {
 				if ops[useID].Block == b {
-					if t := alap[useID] - int64(machine.Latency(op.Opcode)); t < latest {
+					if t := alap[useID] - int64(op.Opcode.Info().Latency); t < latest {
 						latest = t
 					}
 				}
@@ -802,7 +802,7 @@ func computeSlack(region *cfg.Region, du *cfg.DefUse, ops []*ir.Op, mcfg *machin
 				for _, defID := range du.DefsOf[op.ID][argI] {
 					key := edgeKey{defID, op.ID}
 					if ops[defID].Block == b {
-						s := alap[op.ID] - (asap[defID] + int64(machine.Latency(ops[defID].Opcode)))
+						s := alap[op.ID] - (asap[defID] + int64(ops[defID].Opcode.Info().Latency))
 						if s < 0 {
 							s = 0
 						}
@@ -1057,7 +1057,7 @@ func refineRegion(sc *scratch, f *ir.Func, region *cfg.Region, lc *sched.LoopCtx
 				if c == orig {
 					continue
 				}
-				if mcfg.Units(c, machine.KindOf(op.Opcode)) == 0 {
+				if mcfg.Units(c, op.Opcode.Info().FU) == 0 {
 					continue
 				}
 				re.move(op, c)
@@ -1211,7 +1211,7 @@ func (es *estScratch) prepare(f *ir.Func, k int) {
 		es.lastDef = make([]int, f.NRegs)
 		es.defGen = make([]int64, f.NRegs)
 	}
-	if n := k * int(machine.NumFUKinds); len(es.counts) < n {
+	if n := k * int(ir.NumFUKinds); len(es.counts) < n {
 		es.counts = make([]int, n)
 	} else {
 		clear(es.counts[:n])
@@ -1252,7 +1252,7 @@ func (es *estScratch) blockLen(b *ir.Block, asg []int, home []int, lc *sched.Loo
 	var length int64 = 1
 	for _, op := range b.Ops {
 		c := asg[op.ID]
-		es.counts[c*int(machine.NumFUKinds)+int(machine.KindOf(op.Opcode))]++
+		es.counts[c*int(ir.NumFUKinds)+int(op.Opcode.Info().FU)]++
 		var start int64
 		for _, a := range op.Args {
 			if !a.IsReg() {
@@ -1278,7 +1278,7 @@ func (es *estScratch) blockLen(b *ir.Block, asg []int, home []int, lc *sched.Loo
 				}
 			}
 		}
-		done := start + int64(machine.Latency(op.Opcode))
+		done := start + int64(op.Opcode.Info().Latency)
 		es.ready[op.ID] = done
 		if done > length {
 			length = done
@@ -1290,11 +1290,11 @@ func (es *estScratch) blockLen(b *ir.Block, asg []int, home []int, lc *sched.Loo
 	}
 	// Moves occupy an integer-unit issue slot on their sending cluster.
 	for _, key := range es.touched {
-		es.counts[es.moveSrc[key]*int(machine.NumFUKinds)+int(machine.FUInt)]++
+		es.counts[es.moveSrc[key]*int(ir.NumFUKinds)+int(ir.FUInt)]++
 	}
 	for c := 0; c < k; c++ {
-		for kind := machine.FUKind(0); kind < machine.NumFUKinds; kind++ {
-			cnt := es.counts[c*int(machine.NumFUKinds)+int(kind)]
+		for kind := ir.FUKind(0); kind < ir.NumFUKinds; kind++ {
+			cnt := es.counts[c*int(ir.NumFUKinds)+int(kind)]
 			if cnt == 0 {
 				continue
 			}

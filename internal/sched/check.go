@@ -30,7 +30,7 @@ func CheckBlock(b *ir.Block, asg []int, home []int, lc *LoopCtx, cfg *machine.Co
 	// Resource and bus usage.
 	type slotKey struct {
 		cycle, cluster int
-		kind           machine.FUKind
+		kind           ir.FUKind
 	}
 	usage := map[slotKey]int{}
 	bus := map[int]int{}

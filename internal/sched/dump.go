@@ -24,7 +24,7 @@ type Slot struct {
 	// ordinary ops), so validators can re-derive the per-hop move cost
 	// from the machine topology without trusting Lat.
 	To     int
-	Kind   machine.FUKind
+	Kind   ir.FUKind
 	Op     *ir.Op // nil for intercluster moves
 	IsMove bool
 	// Lat is the operation's result latency (cycles from issue until the

@@ -138,7 +138,7 @@ type node struct {
 	op      *ir.Op // nil for moves
 	cluster int
 	to      int // destination cluster of a move; == cluster for ops
-	kind    machine.FUKind
+	kind    ir.FUKind
 	lat     int
 	isMove  bool
 	preds   []dep
@@ -281,7 +281,7 @@ type AssignError struct {
 	Block   int
 	Op      *ir.Op
 	Cluster int
-	Kind    machine.FUKind
+	Kind    ir.FUKind
 }
 
 func (e *AssignError) Error() string {
@@ -306,7 +306,7 @@ func CheckAssignable(f *ir.Func, asg []int, cfg *machine.Config) error {
 				return fmt.Errorf("sched: %s b%d: op %s assigned to cluster %d of %d",
 					f.Name, b.ID, op, c, cfg.NumClusters())
 			}
-			if k := machine.KindOf(op.Opcode); cfg.Units(c, k) == 0 {
+			if k := op.Opcode.Info().FU; cfg.Units(c, k) == 0 {
 				return &AssignError{Func: f.Name, Block: b.ID, Op: op, Cluster: c, Kind: k}
 			}
 		}
@@ -319,7 +319,7 @@ func CheckAssignable(f *ir.Func, asg []int, cfg *machine.Config) error {
 func (sc *Scratch) ScheduleBlockCtx(b *ir.Block, asg []int, home []int, lc *LoopCtx, cfg *machine.Config) (BlockResult, []HoistedMove) {
 	for _, op := range b.Ops {
 		c := asg[op.ID]
-		if k := machine.KindOf(op.Opcode); cfg.Units(c, k) == 0 {
+		if k := op.Opcode.Info().FU; cfg.Units(c, k) == 0 {
 			// Invariant: the computation partitioner only assigns ops to
 			// clusters with units of their kind, and external assignments
 			// are pre-validated via CheckAssignable — an unexecutable op
@@ -362,8 +362,8 @@ func (sc *Scratch) buildNodes(b *ir.Block, asg []int, home []int, lc *LoopCtx, c
 		nd.op = op
 		nd.cluster = asg[op.ID]
 		nd.to = nd.cluster
-		nd.kind = machine.KindOf(op.Opcode)
-		nd.lat = machine.Latency(op.Opcode)
+		nd.kind = op.Opcode.Info().FU
+		nd.lat = op.Opcode.Info().Latency
 	}
 	addDep := func(to, from, lat int) {
 		sc.nodes[to].preds = append(sc.nodes[to].preds, dep{from: from, lat: lat})
@@ -378,7 +378,7 @@ func (sc *Scratch) buildNodes(b *ir.Block, asg []int, home []int, lc *LoopCtx, c
 		nd := &sc.nodes[mi]
 		nd.cluster = srcCluster // moves issue on the sending cluster
 		nd.to = k.to
-		nd.kind = machine.FUInt
+		nd.kind = ir.FUInt
 		nd.lat = cfg.MoveLat(srcCluster, k.to)
 		nd.isMove = true
 		if k.srcNode >= 0 {
@@ -560,7 +560,7 @@ func (sc *Scratch) listSchedule(cfg *machine.Config) int {
 
 	// Resource tables grow on demand: usage[t][cluster][kind], bus[t],
 	// flattened and reused across calls (rows are zeroed when re-acquired).
-	stride := cfg.NumClusters() * int(machine.NumFUKinds)
+	stride := cfg.NumClusters() * int(ir.NumFUKinds)
 	sc.usage = sc.usage[:0]
 	sc.bus = sc.bus[:0]
 	cycles := 0
@@ -583,8 +583,8 @@ func (sc *Scratch) listSchedule(cfg *machine.Config) int {
 			cycles++
 		}
 	}
-	slot := func(t, cluster int, kind machine.FUKind) *int {
-		return &sc.usage[t*stride+cluster*int(machine.NumFUKinds)+int(kind)]
+	slot := func(t, cluster int, kind ir.FUKind) *int {
+		return &sc.usage[t*stride+cluster*int(ir.NumFUKinds)+int(kind)]
 	}
 
 	length := 1
