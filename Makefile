@@ -83,9 +83,9 @@ bench-quick:
 	$(GO) test -run XXX -benchtime 1x -bench 'BenchmarkTable1|BenchmarkFigure9' .
 	$(GO) test -run XXX -benchtime 1x -bench BenchmarkExhaustiveMemo ./internal/eval/
 
-# Partitioner microbenchmarks: the fast CSR/FM path vs the legacy path
-# on 1k/10k/100k synthetic graphs, plus the raw numbers refreshed into
-# BENCH_partition.json (see that file for the recorded analysis).
+# Partitioner microbenchmarks: Bisect and 4-way KWay on 1k/10k/100k
+# synthetic graphs. BENCH_partition.json keeps the historical comparison
+# against the deleted adjacency-list engine.
 bench-partition:
 	$(GO) test ./internal/partition/ -run XXX \
 		-bench 'BenchmarkBisect|BenchmarkKWay' -benchtime 5x \

@@ -105,7 +105,6 @@ func run(args []string, out io.Writer) (err error) {
 		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile  = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		cacheStats  = fs.Bool("cachestats", false, "print per-benchmark memoization cache statistics after the output")
-		legacyPart  = fs.Bool("legacypartition", false, "use the legacy graph partitioner instead of the gain-bucket FM fast path (for A/B comparison)")
 		validate    = fs.Bool("validate", false, "re-check every result with the independent schedule validator")
 		timeout     = fs.Duration("timeout", 0, "abort the whole run after this duration (0 = no limit)")
 		traceFile   = fs.String("trace", "", "write the pipeline span trace to this file as sorted JSON lines")
@@ -142,7 +141,7 @@ func run(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	h := &harness{ctx: ctx, filter: *filter, workers: *jobs, legacyPart: *legacyPart, validate: *validate, cacheDir: *cacheDir, cacheMax: *cacheMax, observer: sinks.Observer(), cache: map[string]*eval.Compiled{}, out: out}
+	h := &harness{ctx: ctx, filter: *filter, workers: *jobs, validate: *validate, cacheDir: *cacheDir, cacheMax: *cacheMax, observer: sinks.Observer(), cache: map[string]*eval.Compiled{}, out: out}
 	err = h.emit(*jsonOut, *svgDir, *table, *figure, *compileTime, *topology, *all)
 	if stopErr := prof.Stop(); err == nil {
 		err = stopErr
@@ -232,21 +231,20 @@ func (h *harness) emit(jsonOut bool, svgDir, table, figure string, compileTime, 
 }
 
 type harness struct {
-	ctx        context.Context
-	filter     string
-	workers    int    // -j: worker pool bound, 0 = GOMAXPROCS
-	legacyPart bool   // -legacypartition: route bisections through the legacy path
-	validate   bool   // -validate: independent re-check of every result
-	cacheDir   string // -cachedir: persistent artifact store (empty = off)
-	cacheMax   int64  // -cachemaxbytes: artifact log size bound
-	observer   *obs.Observer
-	cache      map[string]*eval.Compiled
-	out        io.Writer
+	ctx      context.Context
+	filter   string
+	workers  int    // -j: worker pool bound, 0 = GOMAXPROCS
+	validate bool   // -validate: independent re-check of every result
+	cacheDir string // -cachedir: persistent artifact store (empty = off)
+	cacheMax int64  // -cachemaxbytes: artifact log size bound
+	observer *obs.Observer
+	cache    map[string]*eval.Compiled
+	out      io.Writer
 }
 
 // options builds the evaluation options every scheme run shares.
 func (h *harness) options() eval.Options {
-	return eval.Options{Workers: h.workers, LegacyPartition: h.legacyPart, Validate: h.validate, CacheDir: h.cacheDir, CacheMaxBytes: h.cacheMax, Observer: h.observer}
+	return eval.Options{Workers: h.workers, Validate: h.validate, CacheDir: h.cacheDir, CacheMaxBytes: h.cacheMax, Observer: h.observer}
 }
 
 // emitCacheStats prints one memoization-counter line per compiled

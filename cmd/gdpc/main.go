@@ -6,7 +6,7 @@
 // Usage:
 //
 //	gdpc -bench rawcaudio -scheme gdp -latency 5
-//	gdpc -src kernel.mc -scheme all -latency 10 -clusters 2
+//	gdpc -src kernel.mc -scheme all -latency 10 -machine four
 //	gdpc -bench fir -dump-ir
 //
 // Observability (DESIGN.md §10): -metrics prints the run's counter/
@@ -55,8 +55,7 @@ func run(args []string, out io.Writer) (err error) {
 		list      = fs.Bool("list", false, "list bundled benchmarks and exit")
 		scheme    = fs.String("scheme", "all", "gdp | profilemax | naive | unified | all")
 		latency   = fs.Int("latency", 5, "intercluster move latency in cycles")
-		clusters  = fs.Int("clusters", 2, "number of clusters (2 or 4; ignored when -machine is set)")
-		machineN  = fs.String("machine", "", "machine preset: paper2 | four | eight | hetero2 | ring4 | ring8 | mesh4 | mesh8 | numa4 (overrides -clusters)")
+		machineN  = fs.String("machine", "paper2", "machine preset: paper2 | four | eight | hetero2 | ring4 | ring8 | mesh4 | mesh8 | numa4")
 		unroll    = fs.Int("unroll", 0, "loop unrolling factor (0 = default)")
 		dumpIR    = fs.Bool("dump-ir", false, "print the compiled IR and exit")
 		dumpSched = fs.String("dump-sched", "", "print the VLIW schedule of this function under the chosen scheme")
@@ -114,21 +113,9 @@ func run(args []string, out io.Writer) (err error) {
 		return nil
 	}
 
-	var m *mcpart.Machine
-	if *machineN != "" {
-		m, err = mcpart.MachinePreset(*machineN, *latency)
-		if err != nil {
-			return err
-		}
-	} else {
-		switch *clusters {
-		case 2:
-			m = mcpart.Paper2Cluster(*latency)
-		case 4:
-			m = mcpart.FourCluster(*latency)
-		default:
-			return fmt.Errorf("unsupported cluster count %d (use 2 or 4, or -machine for topology presets)", *clusters)
-		}
+	m, err := mcpart.MachinePreset(*machineN, *latency)
+	if err != nil {
+		return err
 	}
 
 	fmt.Fprintf(out, "program %s  checksum %d  machine %s\n", prog.Name(), prog.Checksum(), m.Name)

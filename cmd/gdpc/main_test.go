@@ -67,11 +67,11 @@ func TestCompileFromFile(t *testing.T) {
 func TestErrors(t *testing.T) {
 	var sb strings.Builder
 	cases := [][]string{
-		{},                                  // no input
-		{"-bench", "nope"},                  // unknown benchmark
-		{"-bench", "fir", "-scheme", "bad"}, // unknown scheme
-		{"-bench", "fir", "-clusters", "3"}, // unsupported cluster count
-		{"-bench", "fir", "-src", "x"},      // both inputs
+		{},                                     // no input
+		{"-bench", "nope"},                     // unknown benchmark
+		{"-bench", "fir", "-scheme", "bad"},    // unknown scheme
+		{"-bench", "fir", "-machine", "bogus"}, // unknown machine preset
+		{"-bench", "fir", "-src", "x"},         // both inputs
 	}
 	for _, args := range cases {
 		if err := run(args, &sb); err == nil {

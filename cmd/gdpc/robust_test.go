@@ -33,7 +33,7 @@ func TestFailurePaths(t *testing.T) {
 	wantRunError(t, "unknown benchmark", "-bench", "doesnotexist")
 	wantRunError(t, "undefined identifier", "-src", bad)
 	wantRunError(t, "unknown scheme", "-bench", "fir", "-scheme", "bogus")
-	wantRunError(t, "unsupported cluster count", "-bench", "fir", "-clusters", "3")
+	wantRunError(t, "unknown machine preset", "-bench", "fir", "-machine", "bogus")
 	wantRunError(t, "no function", "-bench", "fir", "-scheme", "gdp", "-dump-sched", "nope")
 	wantRunError(t, "one of -src and -bench", "-src", bad, "-bench", "fir")
 }

@@ -86,7 +86,6 @@ func run(args []string, out io.Writer) (err error) {
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		stats    = fs.Bool("cachestats", false, "print memoization cache statistics to stderr")
 		bestOnly = fs.Bool("best", false, "find only the optimal mapping by branch and bound (no full sweep; default object cap rises to the -best limit)")
-		legacy   = fs.Bool("legacypartition", false, "use the legacy graph partitioner instead of the gain-bucket FM fast path")
 		validate = fs.Bool("validate", false, "re-check every mapping's result with the independent schedule validator")
 		timeout  = fs.Duration("timeout", 0, "abort the search after this duration (0 = no limit)")
 		traceF   = fs.String("trace", "", "write the pipeline span trace to this file as sorted JSON lines")
@@ -145,7 +144,7 @@ func run(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	opts := mcpart.Options{Workers: *jobs, LegacyPartition: *legacy, Validate: *validate, CacheDir: *cacheDir, CacheMaxBytes: *cacheMax, Observer: sinks.Observer()}
+	opts := mcpart.Options{Workers: *jobs, Validate: *validate, CacheDir: *cacheDir, CacheMaxBytes: *cacheMax, Observer: sinks.Observer()}
 	if *bestOnly {
 		// -best raises the object cap to the branch-and-bound default
 		// unless the user pinned -maxobjects explicitly.

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -51,36 +52,31 @@ func diffMatrices(t *testing.T, label string, want, got []*BenchResult) {
 	}
 }
 
-// conformance runs the full four-scheme suite on a structural topology and
-// on its explicit-matrix expansion, at -j1 and -j8, and requires the four
+// conformance runs the full four-scheme suite on a structural topology at
+// -j1 and on its explicit-matrix expansion at -j8, and requires the two
 // runs to be identical in every deterministic field. This is the
 // differential contract of machine.AsMatrix: the matrix is the same
 // machine spelled through a different MoveLat code path, so every
 // consumer — gdp's partition graph, rhop's cost estimator, the scheduler's
 // per-pair move charging, the validator — must be unable to tell them
-// apart.
+// apart. The probe also covers the worker-count axis, so it starts from
+// fresh memos: read back from the reference run's cache, it would compare
+// stored results instead of recomputing any partition or schedule.
 func conformance(t *testing.T, cs []*Compiled, structural *machine.Config) {
 	t.Helper()
-	asMatrix := machine.AsMatrix(structural)
 	ref, err := RunMatrix(cs, structural, Options{Workers: 1})
 	if err != nil {
 		t.Fatalf("%s -j1: %v", structural.Name, err)
 	}
-	for _, probe := range []struct {
-		label   string
-		cfg     *machine.Config
-		workers int
-	}{
-		{structural.Name + " -j8", structural, parallelProbe},
-		{asMatrix.Name + " -j1", asMatrix, 1},
-		{asMatrix.Name + " -j8", asMatrix, parallelProbe},
-	} {
-		got, err := RunMatrix(cs, probe.cfg, Options{Workers: probe.workers})
-		if err != nil {
-			t.Fatalf("%s: %v", probe.label, err)
-		}
-		diffMatrices(t, probe.label, ref, got)
+	for _, c := range cs {
+		c.EnableMemo()
 	}
+	asMatrix := machine.AsMatrix(structural)
+	got, err := RunMatrix(cs, asMatrix, Options{Workers: parallelProbe})
+	if err != nil {
+		t.Fatalf("%s -j%d: %v", asMatrix.Name, parallelProbe, err)
+	}
+	diffMatrices(t, fmt.Sprintf("%s -j%d", asMatrix.Name, parallelProbe), ref, got)
 }
 
 // TestBusAsMatrixConformance: the paper's bus at each of its three

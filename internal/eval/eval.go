@@ -305,10 +305,6 @@ type Options struct {
 	// are shed (reads keep working). Non-positive selects
 	// store.DefaultMaxBytes.
 	CacheMaxBytes int64
-	// LegacyPartition routes every graph bisection (GDP's object graph and
-	// RHOP's op graphs) through the legacy partitioner path instead of the
-	// CSR + gain-bucket FM fast path (ablation; see -legacypartition).
-	LegacyPartition bool
 	// Validate runs the independent schedule-level validator
 	// (internal/check) over every scheme result before it is returned; an
 	// invalid result becomes an error (and, under Fallback, triggers the
@@ -422,14 +418,12 @@ func (o Options) pmaxTol() float64 { return defaults.Float(o.ProfileMaxTol, 0.10
 func (o Options) maxSteps() int64 { return defaults.Int64(o.MaxSteps, 10_000_000) }
 
 // rhopOpts returns o.RHOP with the run-wide partitioner knobs applied:
-// LegacyPartition is sticky (either level can set it), the evaluation
-// worker budget doubles as the partitioner's multi-start fan-out unless
-// RHOP names its own, and the min-cut memo is c's cache (the "kway"
-// namespace, DESIGN.md §7), so every scheme, latency and sweep over c
-// shares one run per distinct region graph.
+// the evaluation worker budget doubles as the partitioner's multi-start
+// fan-out unless RHOP names its own, and the min-cut memo is c's cache
+// (the "kway" namespace, DESIGN.md §7), so every scheme, latency and
+// sweep over c shares one run per distinct region graph.
 func (o Options) rhopOpts(c *Compiled) rhop.Options {
 	r := o.RHOP
-	r.LegacyPartition = r.LegacyPartition || o.LegacyPartition
 	if r.Workers == 0 {
 		r.Workers = o.Workers
 	}
@@ -443,7 +437,6 @@ func (o Options) rhopOpts(c *Compiled) rhop.Options {
 // gdpOpts applies the same run-wide knobs to o.GDP.
 func (o Options) gdpOpts(c *Compiled) gdp.Options {
 	g := o.GDP
-	g.LegacyPartition = g.LegacyPartition || o.LegacyPartition
 	if g.Workers == 0 {
 		g.Workers = o.Workers
 	}

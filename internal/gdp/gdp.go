@@ -58,11 +58,7 @@ type Options struct {
 	// before partitioning — approximating the "merge dependent operations
 	// with low slack" variant the paper evaluated and rejected (§3.3.1).
 	SlackMerge bool
-	// LegacyPartition routes the object-graph bisection through the legacy
-	// partitioner path instead of the CSR + gain-bucket FM fast path
-	// (ablation).
-	LegacyPartition bool
-	// Workers bounds the fast partitioner's multi-start fan-out; 0 means
+	// Workers bounds the graph partitioner's multi-start fan-out; 0 means
 	// runtime.GOMAXPROCS(0). Results are identical for every value.
 	Workers int
 	// Obs, when non-nil, records the data-partitioning metrics
@@ -310,7 +306,6 @@ func partitionData(m *ir.Module, prof *interp.Profile, k int, opts Options, mcfg
 	shared, _, err := partition.KWayMemo(opts.Memo, g, k, partition.Options{
 		Tol:       tols,
 		Fractions: opts.MemFractions,
-		Legacy:    opts.LegacyPartition,
 		Workers:   opts.Workers,
 		Obs:       opts.Obs,
 	})

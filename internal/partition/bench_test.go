@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// benchGraphs spans the sizes the fast path is meant to win on: the CSR
+// benchGraphs spans the sizes the engine is meant to hold up on: the CSR
 // rebuild cost must pay for itself by 1k nodes, and the gain-bucket FM
 // has to hold its O((V+E) log V)-ish profile out to 100k.
 var benchGraphs = []struct {
@@ -19,43 +19,39 @@ var benchGraphs = []struct {
 func BenchmarkBisect(b *testing.B) {
 	for _, bg := range benchGraphs {
 		g := randGraph(bg.n, bg.deg, bg.dims, 1, true)
-		for _, legacy := range []bool{false, true} {
-			name := fmt.Sprintf("n=%d/deg=%d/dims=%d/legacy=%v", bg.n, bg.deg, bg.dims, legacy)
-			b.Run(name, func(b *testing.B) {
-				opts := Options{Tol: []float64{0.15}, Legacy: legacy, Workers: 1}
-				b.ReportAllocs()
-				var cut int64
-				for i := 0; i < b.N; i++ {
-					part, err := Bisect(g, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cut = CutWeight(g, part)
+		name := fmt.Sprintf("n=%d/deg=%d/dims=%d", bg.n, bg.deg, bg.dims)
+		b.Run(name, func(b *testing.B) {
+			opts := Options{Tol: []float64{0.15}, Workers: 1}
+			b.ReportAllocs()
+			var cut int64
+			for i := 0; i < b.N; i++ {
+				part, err := Bisect(g, opts)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(cut), "cut")
-			})
-		}
+				cut = CutWeight(g, part)
+			}
+			b.ReportMetric(float64(cut), "cut")
+		})
 	}
 }
 
 func BenchmarkKWay(b *testing.B) {
 	for _, bg := range benchGraphs[:2] {
 		g := randGraph(bg.n, bg.deg, bg.dims, 1, true)
-		for _, legacy := range []bool{false, true} {
-			name := fmt.Sprintf("k=4/n=%d/dims=%d/legacy=%v", bg.n, bg.dims, legacy)
-			b.Run(name, func(b *testing.B) {
-				opts := Options{Tol: []float64{0.15}, Legacy: legacy, Workers: 1}
-				b.ReportAllocs()
-				var cut int64
-				for i := 0; i < b.N; i++ {
-					part, err := KWay(g, 4, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cut = CutWeight(g, part)
+		name := fmt.Sprintf("k=4/n=%d/dims=%d", bg.n, bg.dims)
+		b.Run(name, func(b *testing.B) {
+			opts := Options{Tol: []float64{0.15}, Workers: 1}
+			b.ReportAllocs()
+			var cut int64
+			for i := 0; i < b.N; i++ {
+				part, err := KWay(g, 4, opts)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(cut), "cut")
-			})
-		}
+				cut = CutWeight(g, part)
+			}
+			b.ReportMetric(float64(cut), "cut")
+		})
 	}
 }

@@ -2,7 +2,6 @@ package partition
 
 import (
 	"fmt"
-	"sort"
 
 	"mcpart/internal/defaults"
 	"mcpart/internal/obs"
@@ -14,8 +13,10 @@ type Options struct {
 	// (1+Tol[d]) * total[d]/2. Dimensions beyond len(Tol) use the last
 	// entry; an empty slice means 0.10 everywhere.
 	Tol []float64
-	// CoarseTarget stops coarsening once the graph is this small
-	// (default 24 nodes).
+	// CoarseTarget sets both coarsening floors. The engine seeds
+	// multi-start candidates at two depths of the hierarchy: a shallow
+	// floor (default 96 nodes) and a deep floor (default 24 nodes); an
+	// explicit positive value puts both at that size.
 	CoarseTarget int
 	// MaxPasses bounds refinement passes per level (default 8).
 	MaxPasses int
@@ -23,16 +24,11 @@ type Options struct {
 	// (default equal shares). For Bisect it must have length 2 and sum to
 	// ~1; KWay splits it across the recursion.
 	Fractions []float64
-	// Legacy selects the original partitioner path (per-node []Edge walks,
-	// full candidate re-sorts every refinement pass, O(V·E) initial growth)
-	// instead of the default CSR + gain-bucket FM fast path. It exists for
-	// A/B ablation and as an escape hatch.
-	Legacy bool
-	// Workers bounds the goroutine fan-out of the fast path's parallel
+	// Workers bounds the goroutine fan-out of the engine's parallel
 	// multi-start initial partitioning; 0 means runtime.GOMAXPROCS(0).
 	// The result is identical for every value.
 	Workers int
-	// Obs, when non-nil, receives the fast path's refinement metrics
+	// Obs, when non-nil, receives the engine's refinement metrics
 	// (fm_moves, fm_rollbacks, fm_coarsen_levels, fm_bisections). Hot
 	// loops tally into scratch fields and flush once per bisection, so a
 	// nil Obs costs nothing on the refinement path.
@@ -69,40 +65,19 @@ func (o Options) tol(d int) float64 {
 	return t
 }
 
-func (o Options) coarseTarget() int { return defaults.Int(o.CoarseTarget, 24) }
-func (o Options) maxPasses() int    { return defaults.Int(o.MaxPasses, 8) }
+func (o Options) maxPasses() int { return defaults.Int(o.MaxPasses, 8) }
 
-// coarseTargetFast is the fast path's default coarsening floor. Initial
-// partitioning is cheap there (heap-based growing + bucket FM), so it
-// stops coarsening four times earlier than the legacy path: a larger
-// coarsest graph gives the multi-start genuinely distinct candidates to
-// carry through uncoarsening instead of sixteen tries collapsing into the
-// same tiny-graph optimum. An explicit CoarseTarget overrides both paths
-// alike.
-func (o Options) coarseTargetFast() int { return defaults.Int(o.CoarseTarget, 96) }
+// deepFloor is the size at which coarsening stops for good: the deep
+// multi-start runs on a graph this small, where sixteen tries are nearly
+// free and the tiny graph's optimum is a good anchor.
+func (o Options) deepFloor() int { return defaults.Int(o.CoarseTarget, 24) }
 
-// bscratch holds the bisection's reusable working memory: the matching and
-// candidate tables that coarsen and refine would otherwise allocate at
-// every level of the multilevel hierarchy. One bscratch serves one Bisect
-// call — it is never shared across goroutines, so concurrent partitioner
-// invocations (the parallel evaluation fan-out) stay race-free.
-type bscratch struct {
-	match    []int
-	order    []int
-	incident []int64
-	cands    []cand
-	inOne    []bool
-}
-
-// ints returns s resized to n, zeroed.
-func (sc *bscratch) ints(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
+// shallowFloor is the size of the level where the second multi-start
+// runs. Initial partitioning is cheap (heap-based growing + bucket FM), so
+// a graph four times the deep floor still costs little, and its larger
+// size gives the multi-start genuinely distinct candidates instead of
+// sixteen tries collapsing into the same tiny-graph optimum.
+func (o Options) shallowFloor() int { return defaults.Int(o.CoarseTarget, 96) }
 
 // Bisect splits g into parts 0 and 1, minimizing cut weight subject to the
 // per-dimension balance tolerances and the graph's fixed assignments.
@@ -125,425 +100,7 @@ func bisectUnchecked(g *Graph, opts Options) []int {
 	if g.Len() == 0 {
 		return nil
 	}
-	if opts.Legacy {
-		return bisectRec(&bscratch{}, g, opts, 0)
-	}
-	return bisectFast(g, opts)
-}
-
-// level holds one step of the multilevel hierarchy.
-type level struct {
-	g     *Graph
-	cmap  []int // fine node -> coarse node in next level
-	finer *level
-}
-
-func bisectRec(sc *bscratch, g *Graph, opts Options, depth int) []int {
-	// Coarsen.
-	cur := &level{g: g}
-	for cur.g.Len() > opts.coarseTarget() && depth < 64 {
-		next, cmap, shrunk := coarsen(sc, cur.g)
-		if !shrunk {
-			break
-		}
-		cur = &level{g: next, cmap: cmap, finer: cur}
-		// Reuse cmap position: store map on the finer level for projection.
-		cur.finer.cmap = cmap
-	}
-	// Initial partition at the coarsest level: several greedy growings from
-	// different seeds, each refined; keep the best by (balance violation,
-	// cut weight) — the standard multi-start used by multilevel
-	// partitioners.
-	part := bestInitial(sc, cur.g, opts)
-	// Uncoarsen, projecting and refining.
-	for cur.finer != nil {
-		fine := cur.finer
-		fpart := make([]int, fine.g.Len())
-		for u := range fpart {
-			fpart[u] = part[fine.cmap[u]]
-		}
-		part = fpart
-		cur = fine
-		refine(sc, cur.g, part, opts)
-	}
-	return part
-}
-
-// coarsen performs one round of heavy-edge matching and returns the coarse
-// graph, the fine-to-coarse map, and whether the graph actually shrank.
-// The matching tables come from sc; the coarse graph and fine-to-coarse map
-// are freshly allocated (the multilevel hierarchy retains them).
-func coarsen(sc *bscratch, g *Graph) (*Graph, []int, bool) {
-	n := g.Len()
-	total := g.TotalW()
-	// Limit merged node weight so coarse nodes stay partitionable.
-	maxW := make([]int64, g.NumW)
-	for d, t := range total {
-		maxW[d] = t/3 + 1
-	}
-	sc.match = sc.ints(sc.match, n)
-	match := sc.match
-	for i := range match {
-		match[i] = -1
-	}
-	// Visit nodes in descending order of incident edge weight so heavy
-	// structures merge first; ties break on index for determinism.
-	sc.order = sc.ints(sc.order, n)
-	order := sc.order
-	if cap(sc.incident) < n {
-		sc.incident = make([]int64, n)
-	}
-	sc.incident = sc.incident[:n]
-	clear(sc.incident)
-	incident := sc.incident
-	for u := range order {
-		order[u] = u
-		for _, e := range g.Adj[u] {
-			incident[u] += e.W
-		}
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if incident[a] != incident[b] {
-			return incident[a] > incident[b]
-		}
-		return a < b
-	})
-	matched := 0
-	for _, u := range order {
-		if match[u] != -1 {
-			continue
-		}
-		best, bestW := -1, int64(-1)
-		for _, e := range g.Adj[u] {
-			v := e.To
-			if match[v] != -1 {
-				continue
-			}
-			if g.Fixed[u] != -1 && g.Fixed[v] != -1 && g.Fixed[u] != g.Fixed[v] {
-				continue // cannot merge nodes locked to different parts
-			}
-			ok := true
-			for d := range maxW {
-				if g.W[u][d]+g.W[v][d] > maxW[d] {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			if e.W > bestW || (e.W == bestW && v < best) {
-				best, bestW = v, e.W
-			}
-		}
-		if best >= 0 {
-			match[u] = best
-			match[best] = u
-			matched += 2
-		} else {
-			match[u] = u
-		}
-	}
-	if matched < n/10 {
-		return nil, nil, false
-	}
-	// Build the coarse graph.
-	cmap := make([]int, n)
-	for i := range cmap {
-		cmap[i] = -1
-	}
-	cn := 0
-	for u := 0; u < n; u++ {
-		if cmap[u] != -1 {
-			continue
-		}
-		cmap[u] = cn
-		if match[u] != u {
-			cmap[match[u]] = cn
-		}
-		cn++
-	}
-	cg := NewGraph(cn, g.NumW)
-	for u := 0; u < n; u++ {
-		cu := cmap[u]
-		for d, w := range g.W[u] {
-			cg.W[cu][d] += w
-		}
-		if g.Fixed[u] != -1 {
-			cg.Fixed[cu] = g.Fixed[u]
-		}
-	}
-	for u := 0; u < n; u++ {
-		cu := cmap[u]
-		for _, e := range g.Adj[u] {
-			cv := cmap[e.To]
-			if cu < cv {
-				cg.Connect(cu, cv, e.W)
-			}
-		}
-	}
-	return cg, cmap, true
-}
-
-func bestInitial(sc *bscratch, g *Graph, opts Options) []int {
-	total := g.TotalW()
-	violationOf := func(part []int) int64 {
-		pw := PartWeights(g, part, 2)
-		var v int64
-		for p := 0; p < 2; p++ {
-			for d, t := range total {
-				limit := int64(float64(t) * opts.frac(p) * (1 + opts.tol(d)))
-				if over := pw[p][d] - limit; over > 0 {
-					v += over
-				}
-			}
-		}
-		return v
-	}
-	var best []int
-	var bestViol, bestCut int64
-	for try := 0; try < 4; try++ {
-		part := initialBisection(sc, g, opts, try)
-		refine(sc, g, part, opts)
-		viol, cut := violationOf(part), CutWeight(g, part)
-		if best == nil || viol < bestViol || (viol == bestViol && cut < bestCut) {
-			best, bestViol, bestCut = part, viol, cut
-		}
-	}
-	return best
-}
-
-// initialBisection grows part 1 greedily from a seed until half the
-// (normalized, combined) weight is collected, honoring fixed nodes. try
-// selects among deterministic seed choices.
-func initialBisection(sc *bscratch, g *Graph, opts Options, try int) []int {
-	n := g.Len()
-	part := make([]int, n)
-	total := g.TotalW()
-	norm := func(u int) float64 {
-		s := 0.0
-		for d, w := range g.W[u] {
-			if total[d] > 0 {
-				s += float64(w) / float64(total[d])
-			}
-		}
-		return s
-	}
-	// Start from fixed assignments. Part 1 grows until it holds its
-	// target fraction of the combined normalized weight.
-	var grown float64
-	half := 0.0
-	for d := range total {
-		if total[d] > 0 {
-			half += opts.frac(1)
-		}
-	}
-	if cap(sc.inOne) < n {
-		sc.inOne = make([]bool, n)
-	}
-	sc.inOne = sc.inOne[:n]
-	clear(sc.inOne)
-	inOne := sc.inOne
-	for u, f := range g.Fixed {
-		if f == 1 {
-			inOne[u] = true
-			grown += norm(u)
-		}
-	}
-	// Seed choice by try: 0 = the heaviest free node (hardest to place
-	// later); k > 0 = the k-th free node counting from n*k/4, spreading
-	// starts across the graph deterministically.
-	if grown < half {
-		seed := -1
-		if try == 0 {
-			bestW := -1.0
-			for u := 0; u < n; u++ {
-				if g.Fixed[u] == -1 && !inOne[u] && norm(u) > bestW {
-					seed, bestW = u, norm(u)
-				}
-			}
-		} else {
-			for off := 0; off < n; off++ {
-				u := (n*try/4 + off) % n
-				if g.Fixed[u] == -1 && !inOne[u] {
-					seed = u
-					break
-				}
-			}
-		}
-		if seed >= 0 {
-			inOne[seed] = true
-			grown += norm(seed)
-		}
-	}
-	// BFS-like growth preferring the frontier node with the heaviest
-	// connection into part 1.
-	for grown < half {
-		best, bestGain := -1, int64(-1)
-		for u := 0; u < n; u++ {
-			if inOne[u] || g.Fixed[u] == 0 {
-				continue
-			}
-			var gain int64
-			for _, e := range g.Adj[u] {
-				if inOne[e.To] {
-					gain += e.W
-				}
-			}
-			if gain > bestGain || (gain == bestGain && best == -1) {
-				best, bestGain = u, gain
-			}
-		}
-		if best == -1 {
-			break
-		}
-		inOne[best] = true
-		grown += norm(best)
-	}
-	for u := range part {
-		if inOne[u] {
-			part[u] = 1
-		}
-	}
-	return part
-}
-
-// cand is one positive-gain move candidate of a refinement pass.
-type cand struct {
-	u int
-	g int64
-}
-
-// refine runs FM-style passes moving free nodes between parts to reduce
-// cut weight while keeping (or restoring) balance.
-func refine(sc *bscratch, g *Graph, part []int, opts Options) {
-	total := g.TotalW()
-	// limit[p][d]: part p's cap on dimension d under its target fraction.
-	limit := make([][]int64, 2)
-	for p := 0; p < 2; p++ {
-		limit[p] = make([]int64, g.NumW)
-		for d, t := range total {
-			limit[p][d] = int64(float64(t) * opts.frac(p) * (1 + opts.tol(d)))
-		}
-	}
-	pw := PartWeights(g, part, 2)
-
-	violation := func() int64 {
-		var v int64
-		for p := 0; p < 2; p++ {
-			for d := range limit[p] {
-				if over := pw[p][d] - limit[p][d]; over > 0 {
-					v += over
-				}
-			}
-		}
-		return v
-	}
-
-	gain := func(u int) int64 {
-		var same, other int64
-		for _, e := range g.Adj[u] {
-			if part[e.To] == part[u] {
-				same += e.W
-			} else {
-				other += e.W
-			}
-		}
-		return other - same
-	}
-
-	move := func(u int) {
-		from := part[u]
-		to := 1 - from
-		for d, w := range g.W[u] {
-			pw[from][d] -= w
-			pw[to][d] += w
-		}
-		part[u] = to
-	}
-
-	for pass := 0; pass < opts.maxPasses(); pass++ {
-		moved := false
-		// Positive-gain, balance-respecting moves in descending gain order.
-		cands := sc.cands[:0]
-		for u := 0; u < g.Len(); u++ {
-			if g.Fixed[u] != -1 {
-				continue
-			}
-			if gu := gain(u); gu > 0 {
-				cands = append(cands, cand{u, gu})
-			}
-		}
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].g != cands[j].g {
-				return cands[i].g > cands[j].g
-			}
-			return cands[i].u < cands[j].u
-		})
-		sc.cands = cands
-		for _, c := range cands {
-			if gain(c.u) <= 0 { // may have changed after earlier moves
-				continue
-			}
-			before := violation()
-			move(c.u)
-			if violation() > before {
-				move(c.u) // undo: would worsen balance
-				continue
-			}
-			moved = true
-		}
-		// Rebalancing: while over limit, move the best-gain node out of the
-		// overweight part even at negative gain.
-		for violation() > 0 {
-			// Find the part with the largest violation.
-			from := 0
-			var worst int64 = -1
-			for p := 0; p < 2; p++ {
-				var v int64
-				for d := range limit[p] {
-					if over := pw[p][d] - limit[p][d]; over > 0 {
-						v += over
-					}
-				}
-				if v > worst {
-					worst, from = v, p
-				}
-			}
-			best, bestGain := -1, int64(0)
-			for u := 0; u < g.Len(); u++ {
-				if part[u] != from || g.Fixed[u] != -1 {
-					continue
-				}
-				hasWeight := false
-				for d := range limit[from] {
-					if g.W[u][d] > 0 && pw[from][d] > limit[from][d] {
-						hasWeight = true
-					}
-				}
-				if !hasWeight {
-					continue
-				}
-				if gu := gain(u); best == -1 || gu > bestGain {
-					best, bestGain = u, gu
-				}
-			}
-			if best == -1 {
-				break // nothing movable: fixed nodes make this infeasible
-			}
-			before := violation()
-			move(best)
-			if violation() >= before {
-				move(best)
-				break
-			}
-			moved = true
-		}
-		if !moved {
-			break
-		}
-	}
+	return bisectMultilevel(g, opts)
 }
 
 // kwayScratch holds KWay's reusable fine-to-subgraph remap table, shared

@@ -135,13 +135,16 @@ func (c *CSR) Validate() error {
 
 // coarsenCSR performs one round of heavy-edge matching over the CSR graph
 // and returns the coarse graph, the fine-to-coarse map, and whether the
-// graph actually shrank. The matching rules are identical to the legacy
-// path's coarsen (descending-incident-weight visit order, merged-weight cap
-// of total/3+1 per dimension, fixed-compatibility), but the coarse graph is
-// assembled in O(V+E) with a stamp table instead of per-edge adjacency
-// scans, and every table is a flat array.
-// Coarsening conserves node weight, so the caller passes one total
-// vector that serves every level instead of re-summing W per round.
+// graph actually shrank (a round that matches fewer than a tenth of the
+// nodes counts as stalled). Nodes are visited in descending order of
+// incident edge weight, ties by index, so heavy structures merge first;
+// each unmatched node takes its heaviest unmatched neighbour (lowest index
+// on ties) unless the two are fixed to different parts or their merged
+// weight would exceed total/3+1 in some dimension, which keeps coarse
+// nodes partitionable. The coarse graph is assembled in O(V+E) with a
+// stamp table, and every table is a flat array. Coarsening conserves node
+// weight, so the caller passes one total vector that serves every level
+// instead of re-summing W per round.
 func coarsenCSR(fs *fmScratch, c *CSR, total []int64) (*CSR, []int32, bool) {
 	n := c.Len()
 	maxW := growTo(fs.maxW, len(total))
@@ -236,7 +239,7 @@ func coarsenCSR(fs *fmScratch, c *CSR, total []int64) (*CSR, []int32, bool) {
 	if matched < n/10 {
 		return nil, nil, false
 	}
-	// Number the coarse nodes in ascending fine order (same as legacy).
+	// Number the coarse nodes in ascending order of their lowest fine node.
 	cmap := fs.getCmap(n)
 	for i := range cmap {
 		cmap[i] = -1

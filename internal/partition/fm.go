@@ -9,9 +9,9 @@ import (
 	"mcpart/internal/parallel"
 )
 
-// The fast partitioner path: the same multilevel structure as the legacy
-// engine (heavy-edge-matching coarsening, multi-start greedy growing,
-// move-based refinement at every level), rebuilt around three mechanisms:
+// The bisection engine: a METIS-style multilevel scheme (heavy-edge-
+// matching coarsening, multi-start greedy growing, move-based refinement
+// at every level) built around three mechanisms:
 //
 //   - a CSR graph per level (csr.go) so every phase iterates flat arrays;
 //   - Fiduccia–Mattheyses refinement: per-node gains computed once per
@@ -19,9 +19,10 @@ import (
 //     buckets (doubly-linked lists indexed by gain with a max-gain cursor)
 //     so selecting the best candidate and re-ranking its neighbors is O(1)
 //     amortized instead of a full re-sort per pass;
-//   - heap-based region growing for the initial bisection, replacing the
-//     O(V·E) frontier rescans, with the same deterministic seed-spread
-//     scheme, plus parallel multi-start at the coarsest level.
+//   - heap-based region growing for the initial bisection, so each placed
+//     node costs a heap operation instead of an O(V·E) frontier rescan,
+//     from deterministic spread-out seeds, plus parallel multi-start at the
+//     coarsest level.
 //
 // Classical FM indexes buckets with a dense array because gains are small
 // integers; here edge weights are profile-scaled 64-bit values, so the
@@ -31,10 +32,9 @@ import (
 // matches the node's current bucket key. Ties between equal gains always
 // resolve to the lowest node index, which keeps every pass deterministic.
 
-// fmTries is the fast path's multi-start width at the coarsest level. The
-// legacy engine uses 4 tries; FM tries are cheap enough to quadruple the
-// starts, and with parallel multi-start the extra tries cost little wall
-// time.
+// fmTries is the multi-start width at each seeding level. FM tries are
+// cheap enough to afford sixteen starts, and with parallel multi-start the
+// extra tries cost little wall time.
 const fmTries = 16
 
 // fmTrajectories is how many distinct coarsest-level candidates survive
@@ -47,11 +47,11 @@ const fmTries = 16
 const fmTrajectories = 4
 
 // parallelTryMin is the coarsest-graph size below which multi-start runs
-// serially: normally coarsening reaches Options.CoarseTarget (~24 nodes)
-// and goroutine fan-out would cost more than the tries themselves. Only
+// serially: normally coarsening reaches the deep floor (24 nodes) and
+// goroutine fan-out would cost more than the tries themselves. Only
 // when coarsening stalls early — dense graphs, many fixed nodes — is the
 // coarsest graph big enough for the fan-out to pay. (Trajectory fan-out is
-// gated on the finest graph instead — see bisectFast.)
+// gated on the finest graph instead — see bisectMultilevel.)
 const parallelTryMin = 128
 
 // trajectoryCap is the level size above which only the single best
@@ -91,7 +91,7 @@ func growTo[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// fmScratch is the fast path's reusable working memory: one per Bisect
+// fmScratch is the engine's reusable working memory: one per Bisect
 // call (or per parallel multi-start try), never shared across goroutines.
 type fmScratch struct {
 	// coarsening tables
@@ -117,9 +117,9 @@ type fmScratch struct {
 	conn  []int64
 	grow  []heapEnt
 	// recycled multilevel buffers: coarse CSRs and fine-to-coarse maps
-	// built during a bisectFast call. Nothing built from these escapes the
-	// call (the winning partition is copied out), so the next call resets
-	// the cursors and overwrites in place.
+	// built during a bisectMultilevel call. Nothing built from these
+	// escapes the call (the winning partition is copied out), so the next
+	// call resets the cursors and overwrites in place.
 	csrs     []*CSR
 	csrUsed  int
 	cmaps    [][]int32
@@ -247,7 +247,7 @@ func siftDown(h []heapEnt, i int) {
 // scanSelectMax is the graph size at or below which the gain buckets use
 // a linear-scan backend instead of the lazy heap. Selecting the best live
 // node by scanning a flat int64 gain array beats heap maintenance up to a
-// few hundred nodes, and the paper's region graphs — the fast path's
+// few hundred nodes, and the paper's region graphs — the engine's
 // hottest callers — live entirely in that range. Both backends select the
 // identical node (max gain, lowest index), so results are bit-identical.
 const scanSelectMax = 128
@@ -339,13 +339,13 @@ func (b *buckets) popMax() int {
 	return -1
 }
 
-// lvl is one step of the fast path's multilevel hierarchy.
+// lvl is one step of the multilevel hierarchy.
 type lvl struct {
 	c    *CSR
 	cmap []int32 // this level's node -> next (coarser) level's node
 }
 
-// exhaustiveMax is the node count at or below which the fast path scores
+// exhaustiveMax is the node count at or below which the engine scores
 // every assignment instead of running the multilevel engine. The region
 // graphs the evaluation pipeline partitions are mostly this small, and at
 // these sizes 2^n scored masks cost less than a single multi-start — and
@@ -425,19 +425,18 @@ func bisectTiny(g *Graph, opts Options) []int {
 	return part
 }
 
-// bisectFast is the fast-path counterpart of bisectRec: build the CSR
+// bisectMultilevel is the engine behind Bisect and KWay: build the CSR
 // once, coarsen over flat arrays, then seed candidates from two depths of
-// the hierarchy — a deep multi-start at the legacy coarsening floor
-// (whose level chain matches the legacy path's exactly) and a shallow one
-// at the fast floor, where the larger graph yields genuinely distinct
-// starts. The merged top fmTrajectories candidates are carried
-// independently back up the fine levels — each projected and FM-refined —
-// and the finest-level winner is chosen by (balance violation, cut,
-// candidate index). The deep extension only ever touches graphs below the
-// fast floor, so its cost is negligible next to the fine levels. Node
-// weights are conserved by coarsening, so one totals vector serves every
-// level.
-func bisectFast(g *Graph, opts Options) []int {
+// the hierarchy — a deep multi-start at the deep floor (Options.deepFloor)
+// and a shallow one at the shallow floor (Options.shallowFloor), where the
+// larger graph yields genuinely distinct starts. The merged top
+// fmTrajectories candidates are carried independently back up the fine
+// levels — each projected and FM-refined — and the finest-level winner is
+// chosen by (balance violation, cut, candidate index). The deep extension
+// only ever touches graphs below the shallow floor, so its cost is
+// negligible next to the fine levels. Node weights are conserved by
+// coarsening, so one totals vector serves every level.
+func bisectMultilevel(g *Graph, opts Options) []int {
 	if g.Len() <= exhaustiveMax {
 		if opts.Obs != nil {
 			opts.Obs.Counter("fm_tiny_bisections").Add(1)
@@ -464,9 +463,9 @@ func bisectFast(g *Graph, opts Options) []int {
 		}
 		return shrunk
 	}
-	coarsenTo(opts.coarseTargetFast())
+	coarsenTo(opts.shallowFloor())
 	shallow := len(levels) - 1
-	coarsenTo(opts.coarseTarget())
+	coarsenTo(opts.deepFloor())
 	deepest := len(levels) - 1
 
 	// project replaces part with its projection onto the next finer level.
@@ -477,7 +476,7 @@ func bisectFast(g *Graph, opts Options) []int {
 		}
 		return fpart
 	}
-	// The fast path tracks parts as []int32 — half the cache traffic of
+	// The engine tracks parts as []int32 — half the cache traffic of
 	// []int in the random-access hot loops — and widens on return.
 	widen := func(part []int32) []int {
 		out := make([]int, len(part))
@@ -487,7 +486,7 @@ func bisectFast(g *Graph, opts Options) []int {
 		return out
 	}
 	// Deep candidates: multi-start at the deepest level, carried up to the
-	// shallow floor (all graphs here are at most the fast floor's size).
+	// shallow floor (all graphs here are at most the shallow floor's size).
 	cands := bestInitialFM(fs, levels[deepest].c, total, opts)
 	for li := deepest - 1; li >= shallow; li-- {
 		for i := range cands {
@@ -550,7 +549,7 @@ func bisectFast(g *Graph, opts Options) []int {
 // rankCandidates orders parts best-first by (balance violation, cut,
 // original index) on c, drops duplicates, and caps the list at
 // fmTrajectories. The original index tiebreak keeps the ordering — and
-// with it the whole fast path — deterministic.
+// with it the whole engine — deterministic.
 func rankCandidates(c *CSR, total []int64, parts [][]int32, opts Options) [][]int32 {
 	return rankCandidatesN(c, total, parts, opts, fmTrajectories)
 }
@@ -661,13 +660,13 @@ func bestInitialFM(fs *fmScratch, c *CSR, total []int64, opts Options) [][]int32
 }
 
 // growInitial grows one part greedily from a seed until it holds its
-// target fraction of the combined normalized weight, honoring fixed nodes
-// — the same policy as the legacy initialBisection, but the frontier is a
-// lazy max-heap keyed by (connection weight into the growing part, node
-// index) instead of an O(V·E) rescan per placed node. try selects among
-// deterministic seed-spread choices; even tries grow part 1 and odd tries
-// grow part 0, so the multi-start explores complementary regions even
-// when the seed nodes coincide.
+// target fraction of the combined normalized weight, honoring fixed
+// nodes. The frontier is a lazy max-heap keyed by (connection weight into
+// the growing part, node index), so each step costs a heap operation
+// instead of an O(V·E) rescan. try selects among deterministic
+// seed-spread choices; even tries grow part 1 and odd tries grow part 0,
+// so the multi-start explores complementary regions even when the seed
+// nodes coincide.
 func growInitial(fs *fmScratch, c *CSR, total []int64, opts Options, try, tries int) []int32 {
 	n := c.Len()
 	part := make([]int32, n)
@@ -755,7 +754,7 @@ func growInitial(fs *fmScratch, c *CSR, total []int64, opts Options, try, tries 
 		}
 		if u < 0 {
 			// Empty frontier (disconnected remainder): fall back to the
-			// lowest-index free node, as the legacy rescan would.
+			// lowest-index free node.
 			for cursor < n && (inOne[cursor] || int(c.Fixed[cursor]) == other) {
 				cursor++
 			}
@@ -776,15 +775,13 @@ func growInitial(fs *fmScratch, c *CSR, total []int64, opts Options, try, tries 
 	return part
 }
 
-// refineFM improves part in place with gain-bucket FM passes, preserving
-// the legacy refine's balance semantics exactly: only moves that do not
-// worsen the balance violation are applied in the hill-climb phase, and an
-// over-limit part sheds best-gain weight-bearing nodes (even at negative
-// gain) until balanced or stuck. Gains are computed once per level and
-// maintained incrementally on each move; the hill-climb always takes the
-// current best candidate from the buckets instead of walking a stale
-// sorted list.
-// refineFM runs the full-budget FM refinement on part.
+// refineFM improves part in place with full-budget gain-bucket FM passes.
+// Balance comes first: only moves that do not worsen the balance
+// violation are applied in the hill-climb phase, and an over-limit part
+// sheds best-gain weight-bearing nodes (even at negative gain) until
+// balanced or stuck. Gains are computed once per level and maintained
+// incrementally on each move; the hill-climb always takes the current best
+// candidate from the buckets instead of walking a stale sorted list.
 func refineFM(fs *fmScratch, c *CSR, total []int64, part []int32, opts Options) {
 	refineFMPasses(fs, c, total, part, opts, 0)
 }
@@ -932,7 +929,7 @@ func refineFMPasses(fs *fmScratch, c *CSR, total []int64, part []int32, opts Opt
 	// FM on the quality-critical coarse levels.
 	boundaryOnly := n > boundaryMin
 	// An FM pass sweeps every eligible node with rollback, so it converges
-	// in far fewer passes than the legacy positive-gain sweep. The small
+	// in far fewer passes than a positive-gain-only sweep would. The small
 	// levels (through boundaryMin) keep the full pass budget — that is
 	// where multi-start quality is decided and passes are cheap; mid
 	// levels get three passes and the big levels two (one productive, one

@@ -2,10 +2,14 @@ package partition
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
-// violCut scores a bisection the way bestInitial/bestInitialFM do: total
+// violCut scores a bisection the way bestInitialFM does: total
 // balance violation first, cut weight second.
 func violCut(g *Graph, part []int, opts Options) (int64, int64) {
 	total := g.TotalW()
@@ -22,73 +26,75 @@ func violCut(g *Graph, part []int, opts Options) (int64, int64) {
 	return viol, CutWeight(g, part)
 }
 
-// TestFastNoWorseThanLegacy is the quality property pinning the fast
-// path's results to the legacy path's on seeded random graphs (with fixed
+// readLegacyGolden returns the whitespace-split fields of every data line
+// in testdata/name. The legacy-engine goldens hold the reference values the
+// deleted legacy bisection engine produced; nothing regenerates them, so
+// they keep its quality bound fixed.
+func readLegacyGolden(t *testing.T, name string, fields int) [][]string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]string
+	for _, line := range strings.Split(string(data), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		f := strings.Fields(line)
+		if len(f) != fields {
+			t.Fatalf("%s: malformed line %q", name, line)
+		}
+		rows = append(rows, f)
+	}
+	return rows
+}
+
+// atoi parses a golden field.
+func atoi(t *testing.T, s string) int64 {
+	t.Helper()
+	v, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// TestFastNoWorseThanLegacy is the quality property pinning the engine's
+// results to the legacy engine's on seeded random graphs (with fixed
 // nodes and multi-dimensional weights): lexicographically by (balance
-// violation, cut weight), the fast path is never worse. In particular it
-// never violates a tolerance the legacy path satisfies.
+// violation, cut weight), the engine is never worse than the legacy
+// (violation, cut) recorded in testdata/legacy_bisect.golden. In
+// particular it never violates a tolerance the legacy engine satisfied.
 func TestFastNoWorseThanLegacy(t *testing.T) {
-	type cfg struct {
-		n, deg, dims int
-		withFixed    bool
+	rows := readLegacyGolden(t, "legacy_bisect.golden", 7)
+	if len(rows) != 32 {
+		t.Fatalf("golden has %d rows, want 32 (4 configs x 8 seeds)", len(rows))
 	}
-	cfgs := []cfg{
-		{60, 4, 1, false},
-		{200, 4, 2, true},
-		{300, 6, 1, true},
-		{500, 5, 3, true},
-	}
-	for _, c := range cfgs {
-		for seed := int64(0); seed < 8; seed++ {
-			g := randGraph(c.n, c.deg, c.dims, seed, c.withFixed)
-			opts := Options{Tol: []float64{0.15}}
-			legacy, err := Bisect(g, Options{Tol: opts.Tol, Legacy: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			fast, err := Bisect(g, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lv, lc := violCut(g, legacy, opts)
-			fv, fc := violCut(g, fast, opts)
-			if fv > lv || (fv == lv && fc > lc) {
-				t.Errorf("n=%d deg=%d dims=%d seed=%d: fast (viol=%d cut=%d) worse than legacy (viol=%d cut=%d)",
-					c.n, c.deg, c.dims, seed, fv, fc, lv, lc)
-			}
-			for u := range fast {
-				if g.Fixed[u] != -1 && fast[u] != g.Fixed[u] {
-					t.Fatalf("n=%d seed=%d: fast path moved fixed node %d", c.n, seed, u)
-				}
+	for _, r := range rows {
+		n, deg, dims := int(atoi(t, r[0])), int(atoi(t, r[1])), int(atoi(t, r[2]))
+		withFixed, seed := r[3] == "true", atoi(t, r[4])
+		lv, lc := atoi(t, r[5]), atoi(t, r[6])
+		g := randGraph(n, deg, dims, seed, withFixed)
+		opts := Options{Tol: []float64{0.15}}
+		fast, err := Bisect(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fv, fc := violCut(g, fast, opts)
+		if fv > lv || (fv == lv && fc > lc) {
+			t.Errorf("n=%d deg=%d dims=%d seed=%d: engine (viol=%d cut=%d) worse than legacy (viol=%d cut=%d)",
+				n, deg, dims, seed, fv, fc, lv, lc)
+		}
+		for u := range fast {
+			if g.Fixed[u] != -1 && fast[u] != g.Fixed[u] {
+				t.Fatalf("n=%d seed=%d: engine moved fixed node %d", n, seed, u)
 			}
 		}
 	}
 }
 
-// TestLegacyPathStillWorks keeps the ablation path honest on the
-// structured graphs the default-path tests use.
-func TestLegacyPathStillWorks(t *testing.T) {
-	g := twoCliques(12)
-	part, err := Bisect(g, Options{Legacy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cut := CutWeight(g, part); cut != 1 {
-		t.Errorf("legacy clique cut = %d, want 1", cut)
-	}
-	p4, err := KWay(pathGraph(16), 4, Options{Legacy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pw := PartWeights(pathGraph(16), p4, 4)
-	for p := 0; p < 4; p++ {
-		if pw[p][0] < 2 || pw[p][0] > 6 {
-			t.Errorf("legacy 4-way part %d weight %d", p, pw[p][0])
-		}
-	}
-}
-
-// TestFastDeterminism pins the fast path's determinism contract: the
+// TestFastDeterminism pins the engine's determinism contract: the
 // partition is identical across repeated runs and across every Workers
 // value, including a configuration whose coarsest graph is large enough
 // (>= parallelTryMin nodes) that the multi-start actually fans out.
@@ -135,44 +141,23 @@ func TestFastDeterminism(t *testing.T) {
 	}
 }
 
-// TestLegacyDeterminism gives the legacy path the same repeated-run check.
-func TestLegacyDeterminism(t *testing.T) {
-	g := randGraph(400, 5, 2, 11, true)
-	opts := Options{Tol: []float64{0.15}, Legacy: true}
-	base, err := Bisect(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rep := 0; rep < 3; rep++ {
-		p, err := Bisect(g, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for u := range base {
-			if p[u] != base[u] {
-				t.Fatalf("rep %d: nondeterministic at node %d", rep, u)
-			}
-		}
-	}
-}
-
 // TestKWayFastMatchesQuality runs the 4-way recursion on random graphs
-// under both paths and checks the fast path's total cut is no worse than
-// legacy's whenever both are balance-feasible.
+// and checks the engine's total cut is no worse than the legacy engine's,
+// recorded in testdata/legacy_kway.golden.
 func TestKWayFastMatchesQuality(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
+	rows := readLegacyGolden(t, "legacy_kway.golden", 2)
+	if len(rows) != 6 {
+		t.Fatalf("golden has %d rows, want 6 seeds", len(rows))
+	}
+	for _, r := range rows {
+		seed, lc := atoi(t, r[0]), atoi(t, r[1])
 		g := randGraph(240, 5, 2, 100+seed, false)
 		fast, err := KWay(g, 4, Options{Tol: []float64{0.2}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy, err := KWay(g, 4, Options{Tol: []float64{0.2}, Legacy: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fc, lc := CutWeight(g, fast), CutWeight(g, legacy)
-		if fc > lc {
-			t.Errorf("seed %d: fast 4-way cut %d > legacy %d", seed, fc, lc)
+		if fc := CutWeight(g, fast); fc > lc {
+			t.Errorf("seed %d: engine 4-way cut %d > legacy %d", seed, fc, lc)
 		}
 	}
 }

@@ -13,14 +13,11 @@
 //     uncoarsening level;
 //   - k-way partitioning by recursive bisection (k a power of two).
 //
-// Two implementations share these semantics: the default fast path (CSR
-// arrays, gain-bucket FM, heap-based growing, parallel multi-start — see
-// csr.go and fm.go) and the original path behind Options.Legacy. Both are
-// fully deterministic — ties break on fixed rules (node index, or
-// insertion order within a gain bucket), multi-start winners are chosen by
-// (balance violation, cut, try index), and results are identical for every
-// Options.Workers value — but the two paths may pick different
-// equal-quality partitions from each other.
+// The engine works on CSR arrays with gain-bucket FM, heap-based growing
+// and parallel multi-start (csr.go and fm.go). It is fully deterministic:
+// ties break on node index, multi-start winners are chosen by (balance
+// violation, cut, try index), and results are identical for every
+// Options.Workers value.
 package partition
 
 import "fmt"

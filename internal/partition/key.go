@@ -13,7 +13,7 @@ import (
 // node count and weight dimensions, each node's weights and fixed part,
 // each adjacency list in order (edge order steers tie-breaking, so it is
 // part of the problem), k, and the result-shaping options Tol, Fractions,
-// CoarseTarget, MaxPasses and Legacy, all length-prefixed so distinct
+// CoarseTarget and MaxPasses, all length-prefixed so distinct
 // inputs cannot encode alike. Options are hashed as given, not with
 // defaults resolved: a zero knob and its explicit default get different
 // keys, which costs sharing but never exactness. Workers and Obs are left
@@ -45,11 +45,6 @@ func KWayKey(g *Graph, k int, opts Options) string {
 	floats(opts.Fractions)
 	b = binary.AppendVarint(b, int64(opts.CoarseTarget))
 	b = binary.AppendVarint(b, int64(opts.MaxPasses))
-	if opts.Legacy {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
 	sum := sha256.Sum256(b)
 	return memo.NewKey("kway").Bytes(sum[:]).String()
 }

@@ -64,7 +64,6 @@ func TestKWayKeyCoversEveryInput(t *testing.T) {
 			o.Fractions = []float64{0.3, 0.2, 0.25, 0.25}
 			return k
 		}},
-		{"Legacy", func(g *Graph, o *Options) int { o.Legacy = true; return k }},
 		{"CoarseTarget", func(g *Graph, o *Options) int { o.CoarseTarget = 10; return k }},
 		{"MaxPasses", func(g *Graph, o *Options) int { o.MaxPasses = 3; return k }},
 	}

@@ -7,18 +7,21 @@ import "testing"
 // selects the default, any positive value wins.
 func TestOptionDefaults(t *testing.T) {
 	var zero Options
-	if got := zero.coarseTarget(); got != 24 {
-		t.Errorf("zero CoarseTarget -> %d, want 24", got)
+	if got := zero.deepFloor(); got != 24 {
+		t.Errorf("zero CoarseTarget -> deep floor %d, want 24", got)
+	}
+	if got := zero.shallowFloor(); got != 96 {
+		t.Errorf("zero CoarseTarget -> shallow floor %d, want 96", got)
 	}
 	if got := zero.maxPasses(); got != 8 {
 		t.Errorf("zero MaxPasses -> %d, want 8", got)
 	}
 	neg := Options{CoarseTarget: -1, MaxPasses: -1}
-	if neg.coarseTarget() != 24 || neg.maxPasses() != 8 {
+	if neg.deepFloor() != 24 || neg.shallowFloor() != 96 || neg.maxPasses() != 8 {
 		t.Error("negative knobs must select the defaults")
 	}
 	set := Options{CoarseTarget: 10, MaxPasses: 3}
-	if set.coarseTarget() != 10 || set.maxPasses() != 3 {
+	if set.deepFloor() != 10 || set.shallowFloor() != 10 || set.maxPasses() != 3 {
 		t.Error("positive knobs must win over the defaults")
 	}
 }
@@ -85,17 +88,17 @@ func TestBisectMalformedOptions(t *testing.T) {
 		{Tol: []float64{}},
 		{Fractions: []float64{1}, Tol: []float64{-1, 0.15}},
 	} {
-		for _, legacy := range []bool{false, true} {
-			opts.Legacy = legacy
-			part, err := Bisect(g, opts)
-			if err != nil {
-				t.Fatalf("legacy=%v: %v", legacy, err)
+		part, err := Bisect(g, opts)
+		if err != nil {
+			t.Fatalf("%+v: %v", opts, err)
+		}
+		for u, f := range g.Fixed {
+			if f != -1 && part[u] != f {
+				t.Fatalf("%+v: fixed node %d moved", opts, u)
 			}
-			for u, f := range g.Fixed {
-				if f != -1 && part[u] != f {
-					t.Fatalf("legacy=%v: fixed node %d moved", legacy, u)
-				}
-			}
+		}
+		if pw := PartWeights(g, part, 2); pw[0][0] == 0 || pw[1][0] == 0 {
+			t.Fatalf("%+v: one-sided partition, part weights %v", opts, pw)
 		}
 	}
 }

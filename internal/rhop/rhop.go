@@ -57,12 +57,7 @@ type Options struct {
 	// coarser levels; single-op moves sometimes cannot escape the local
 	// minima pair moves can.
 	PairRefine bool
-	// LegacyPartition routes the underlying graph bisection through the
-	// legacy partitioner path instead of the CSR + gain-bucket FM fast
-	// path (ablation). The two paths can pick different equal-quality
-	// partitions, so this is part of CacheKey.
-	LegacyPartition bool
-	// Workers bounds the fast partitioner's multi-start fan-out; 0 means
+	// Workers bounds the graph partitioner's multi-start fan-out; 0 means
 	// runtime.GOMAXPROCS(0). Value-neutral (results are identical for
 	// every worker count), so — like noIncremental — it is excluded from
 	// CacheKey.
@@ -103,7 +98,6 @@ func (o Options) CacheKey() string {
 		Float(o.tol()).
 		Bool(o.UniformEdges).
 		Bool(o.PairRefine).
-		Bool(o.LegacyPartition).
 		String()
 }
 
@@ -528,7 +522,6 @@ func partitionRegion(sc *scratch, pre *regionPre, f *ir.Func, du *cfg.DefUse, op
 	// and sweep masks. part is shared with other hits and read-only here.
 	part, hit, err := partition.KWayMemo(opts.Memo, g, k, partition.Options{
 		Tol:     []float64{opts.tol()},
-		Legacy:  opts.LegacyPartition,
 		Workers: opts.Workers,
 		Obs:     opts.Obs,
 	})
